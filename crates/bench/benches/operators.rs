@@ -49,9 +49,12 @@ fn bench_relational(h: &mut Harness) {
             let mut cur = db
                 .execute_sql("SELECT * FROM orders WHERE value > 1000")
                 .unwrap();
+            // One-row block pulls: the paper's tuple-at-a-time client.
+            let mut block = ColumnBlock::new(cur.arity());
             let mut n = 0;
             while n < k {
-                if cur.next().unwrap().is_none() {
+                block.clear();
+                if cur.next_cblock(&mut block, 1).unwrap() == 0 {
                     break;
                 }
                 n += 1;

@@ -67,12 +67,6 @@ pub struct EvalContext {
     /// model; `Depth(n)`/`Auto` overlap backend latency with mediator
     /// work once a cursor's first block has been demanded).
     pub prefetch: PrefetchPolicy,
-    /// Ship source blocks as typed column vectors (`false` keeps the
-    /// boxed row representation — an ablation knob; both produce
-    /// identical tuples and identical `TuplesShipped`/`BlocksShipped`).
-    /// Only block pulls are affected: under [`BlockPolicy::Off`] the
-    /// per-row protocol runs regardless.
-    pub columnar: bool,
     /// Session high-water mark for `BlockPolicy::Auto` restarts: once a
     /// drain in this session has ramped up, later cursors skip the
     /// small-block warm-up below this floor (see
@@ -94,7 +88,6 @@ impl EvalContext {
             block: BlockPolicy::default(),
             retry: RetryPolicy::default(),
             prefetch: PrefetchPolicy::default(),
-            columnar: true,
             ramp_floor: AtomicUsize::new(1),
             stats: Stats::new(),
             docs: Mutex::new(HashMap::new()),

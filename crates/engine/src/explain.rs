@@ -62,9 +62,8 @@ fn render_node(op: &Op, profile: &ExecProfile, depth: usize, next: &mut usize, o
             if m.retries > 0 {
                 out.push_str(&format!(" retries={}", m.retries));
             }
-            // Approximate: columnar block footprints, charged by `rQ`.
-            // Zero (row representation, or no blocks) renders nothing,
-            // so row-mode trees stay byte-identical to earlier releases.
+            // Approximate: column block footprints, charged by `rQ`.
+            // Zero (no blocks pulled) renders nothing.
             if m.alloc_bytes > 0 {
                 out.push_str(&format!(" alloc≈{}B", m.alloc_bytes));
             }

@@ -27,7 +27,7 @@
 //! failure remain valid.
 
 use crate::context::{EvalContext, GByMode};
-use crate::eager::{build_element, cat_value, cond_holds, rq_row_to_vals};
+use crate::eager::{build_element, cat_value, cond_holds};
 use crate::explain::subtree_size;
 use crate::hashkey::{KeyCache, KeyPart};
 use crate::lval::LElem;
@@ -475,24 +475,13 @@ pub(crate) fn build_stream_profiled(
                 // pull it serves synchronously).
                 cursor.enable_prefetch(ctx.prefetch, ramp.clone(), ctx.retry);
             }
-            let decoder = match ctx.block {
-                mix_common::BlockPolicy::Off => None,
-                _ => Some(RqDecoder::new(map)),
-            };
-            // Typed column vectors only make sense for block pulls; the
-            // per-row protocol under `Off` keeps the row representation.
-            let columnar = decoder.is_some() && ctx.columnar;
-            extra.push(("repr", if columnar { "col" } else { "row" }.to_string()));
             Box::new(RelQueryStream {
                 ctx: Arc::clone(ctx),
                 cursor,
-                map: map.clone(),
                 vars: Arc::new(map.iter().map(|b| b.var.clone()).collect()),
                 pending: VecDeque::new(),
                 ramp,
-                rbuf: Vec::new(),
-                decoder,
-                columnar,
+                decoder: RqDecoder::new(map),
                 profile: profile.cloned(),
                 id,
                 counted_retries: 0,
@@ -1762,11 +1751,12 @@ impl TStream for NestedSrcStream {
     }
 }
 
-/// Per-binding decode state for the vectorized `rQ` path.
+/// Per-binding decode state for the lazy engine's `rQ`.
 ///
-/// The tuple-at-a-time decoder ([`rq_row_to_vals`]) rebuilds every
-/// wrapper element eagerly, one row at a time. Decoding a whole block
-/// at once amortizes three costs the one-row protocol cannot:
+/// The eager engine's reference decoder
+/// ([`rq_row_to_vals`](crate::eager::rq_row_to_vals)) rebuilds every
+/// wrapper element eagerly, one row at a time. Decoding a whole column
+/// block at once amortizes three costs it cannot:
 ///
 /// * bindings that rebuild the *same* element from the same columns
 ///   (`$K`/`$C` after a pushed-down join) share one allocation per row;
@@ -1777,8 +1767,9 @@ impl TStream for NestedSrcStream {
 ///   instead of at decode time, so a drain that never descends into the
 ///   element allocates one node instead of `1 + cols`.
 ///
-/// Counters are charged exactly as the per-tuple decoder would charge
-/// them, so `Off`/`Fixed`/`Auto` report identical totals.
+/// Counters are charged exactly as the reference decoder charges them,
+/// so `Off` (one-row blocks), `Fixed` and `Auto` report identical
+/// totals.
 enum RqSlot {
     /// Bind the leaf value at one column.
     Value { col: usize },
@@ -1796,7 +1787,8 @@ enum RqSlot {
         cols: Arc<Vec<(Name, usize)>>,
         key: Vec<usize>,
         /// The `NodesBuilt` charge per row: the element plus its
-        /// (deferred) children, matching [`rq_row_to_vals`].
+        /// (deferred) children, matching
+        /// [`rq_row_to_vals`](crate::eager::rq_row_to_vals).
         nodes: u64,
         last_key: String,
         last: Option<LVal>,
@@ -1826,29 +1818,6 @@ impl KidGen for BlockKids {
         } else {
             Value::Null
         };
-        let key_text = parent.as_key().unwrap_or("");
-        LVal::Elem(Arc::new(LElem {
-            label: cname.clone(),
-            oid: Oid::key(format!("{key_text}.{cname}")),
-            children: LList::one(LVal::Leaf(v)),
-        }))
-    }
-}
-
-/// Row-shaped twin of [`BlockKids`] for the per-row decode path.
-struct RowKids {
-    row: Arc<[Value]>,
-    cols: Arc<Vec<(Name, usize)>>,
-}
-
-impl KidGen for RowKids {
-    fn count(&self) -> usize {
-        self.cols.len()
-    }
-
-    fn kid(&self, _row: usize, i: usize, parent: &Oid) -> LVal {
-        let (cname, pos) = &self.cols[i];
-        let v = self.row.get(*pos).cloned().unwrap_or(Value::Null);
         let key_text = parent.as_key().unwrap_or("");
         LVal::Elem(Arc::new(LElem {
             label: cname.clone(),
@@ -1900,100 +1869,15 @@ impl RqDecoder {
         }
     }
 
-    fn decode(&mut self, ctx: &EvalContext, row: &Arc<[Value]>) -> Vec<LVal> {
-        use std::fmt::Write as _;
-        // Headroom: downstream `crElt`/`cat` stages extend the binding
-        // list in place (one push per stage), so an exact-capacity Vec
-        // is guaranteed one realloc per tuple.
-        let mut out: Vec<LVal> = Vec::with_capacity(self.slots.len() + 2);
-        for slot in &mut self.slots {
-            let v = match slot {
-                RqSlot::Value { col } => LVal::Leaf(row.get(*col).cloned().unwrap_or(Value::Null)),
-                RqSlot::FieldElement { element, col, key } => {
-                    self.keybuf.clear();
-                    for (i, &k) in key.iter().enumerate() {
-                        if i > 0 {
-                            self.keybuf.push('|');
-                        }
-                        match row.get(k) {
-                            Some(v) => write!(self.keybuf, "{v}").expect("write to String"),
-                            None => {
-                                write!(self.keybuf, "{}", Value::Null).expect("write to String")
-                            }
-                        }
-                    }
-                    let v = row.get(*col).cloned().unwrap_or(Value::Null);
-                    ctx.stats().inc(Counter::NodesBuilt);
-                    LVal::Elem(Arc::new(LElem {
-                        label: element.clone(),
-                        oid: Oid::key(format!("{}.{element}", self.keybuf)),
-                        children: LList::one(LVal::Leaf(v)),
-                    }))
-                }
-                RqSlot::Dup { of, nodes } => {
-                    ctx.stats().add(Counter::NodesBuilt, *nodes);
-                    out[*of].clone()
-                }
-                RqSlot::Element {
-                    element,
-                    cols,
-                    key,
-                    nodes,
-                    last_key,
-                    last,
-                } => {
-                    self.keybuf.clear();
-                    for (i, &k) in key.iter().enumerate() {
-                        if i > 0 {
-                            self.keybuf.push('|');
-                        }
-                        match row.get(k) {
-                            Some(v) => write!(self.keybuf, "{v}").expect("write to String"),
-                            None => {
-                                write!(self.keybuf, "{}", Value::Null).expect("write to String")
-                            }
-                        }
-                    }
-                    ctx.stats().add(Counter::NodesBuilt, *nodes);
-                    match last {
-                        Some(v) if *last_key == self.keybuf => v.clone(),
-                        _ => {
-                            // One key-string allocation per fresh
-                            // element: the oid owns it, and the child
-                            // generator reads it back through the
-                            // shared parent oid; the run cache takes
-                            // the scratch buffer by swap.
-                            let oid = Oid::key(self.keybuf.clone());
-                            let kids: Arc<dyn KidGen> = Arc::new(RowKids {
-                                row: Arc::clone(row),
-                                cols: Arc::clone(cols),
-                            });
-                            let v = LVal::Elem(Arc::new(LElem {
-                                label: element.clone(),
-                                oid: oid.clone(),
-                                children: LList::generated(kids, 0, oid),
-                            }));
-                            std::mem::swap(last_key, &mut self.keybuf);
-                            *last = Some(v.clone());
-                            v
-                        }
-                    }
-                }
-            };
-            out.push(v);
-        }
-        out
-    }
-
     /// Decode a whole typed column block without materializing rows.
     ///
-    /// Identical output and counter charges to calling [`Self::decode`]
-    /// on each row, plus two batch-only savings: element run detection
-    /// compares adjacent key *cells* ([`ColumnBlock::cell_eq`], no
-    /// `Display` rendering on the fast path), and each element's lazy
-    /// children borrow the shared block (`Arc<ColumnBlock>`) instead of
-    /// a per-row `Arc<[Value]>` — one skolem oid minted per run, one
-    /// block allocation per `cols.len()` children closures.
+    /// Output and counter charges match
+    /// [`rq_row_to_vals`](crate::eager::rq_row_to_vals) on each row,
+    /// plus two batch savings: element run detection compares adjacent
+    /// key *cells* ([`ColumnBlock::cell_eq`], no `Display` rendering on
+    /// the fast path), and each element's lazy children borrow the
+    /// shared block (`Arc<ColumnBlock>`) — one skolem oid minted per
+    /// run, one generator per `Element` slot per block.
     ///
     /// Cell equality is stricter than rendered-key equality, so a false
     /// negative only builds a fresh element with the same oid, label
@@ -2021,7 +1905,9 @@ impl RqDecoder {
             });
         }
         for r in 0..block.len() {
-            // Same extension headroom as `decode`.
+            // Headroom: downstream `crElt`/`cat` stages extend the
+            // binding list in place (one push per stage), so an
+            // exact-capacity Vec is guaranteed one realloc per tuple.
             let mut vals: Vec<LVal> = Vec::with_capacity(self.slots.len() + 2);
             for (s, slot) in self.slots.iter_mut().enumerate() {
                 let v = match slot {
@@ -2092,7 +1978,9 @@ impl RqDecoder {
                                 Some(v) if *last_key == self.keybuf => v.clone(),
                                 _ => {
                                     // Single key-string allocation per
-                                    // fresh element, as in `decode`.
+                                    // fresh element: the oid owns it,
+                                    // and the run cache takes the
+                                    // scratch buffer by swap.
                                     let oid = Oid::key(self.keybuf.clone());
                                     let gen = Arc::clone(
                                         gens[s].as_ref().expect("element slot generator"),
@@ -2120,20 +2008,13 @@ impl RqDecoder {
 struct RelQueryStream {
     ctx: Arc<EvalContext>,
     cursor: Cursor,
-    map: Vec<mix_algebra::RqBinding>,
     vars: Arc<Vec<Name>>,
-    /// Converted tuples fetched ahead of consumption (empty under
-    /// [`mix_common::BlockPolicy::Off`], where the ramp pins fetches
-    /// to one row).
+    /// Converted tuples fetched ahead of consumption (at most one under
+    /// [`mix_common::BlockPolicy::Off`], where the ramp pins fetches to
+    /// one row).
     pending: VecDeque<LTuple>,
     ramp: mix_common::BlockRamp,
-    rbuf: Vec<mix_relational::Row>,
-    /// Vectorized decoder; `None` under `Off`, which keeps the
-    /// paper-faithful per-row decode path untouched.
-    decoder: Option<RqDecoder>,
-    /// Pull typed column blocks from the cursor and decode them
-    /// column-aware (`false` = boxed-row ablation; implies a decoder).
-    columnar: bool,
+    decoder: RqDecoder,
     /// Profile + node id so retry attempts are attributed to this `rQ`
     /// node in EXPLAIN ANALYZE output.
     profile: Option<Arc<ExecProfile>>,
@@ -2144,7 +2025,7 @@ struct RelQueryStream {
 
 impl RelQueryStream {
     /// Fetch the next ramp-sized block from the server cursor and
-    /// convert it; `false` on exhaustion. Transient backend faults are
+    /// decode it; `false` on exhaustion. Transient backend faults are
     /// retried under the context's [`mix_common::RetryPolicy`] —
     /// re-requesting the same block, so the ramp is undisturbed.
     fn refill(&mut self) -> Result<bool> {
@@ -2154,39 +2035,11 @@ impl RelQueryStream {
         // full ramp block it will never fill.
         let (_, hi) = self.cursor.size_hint();
         let cap = hi.map_or(want, |h| want.min(h.max(1)));
-        if self.columnar {
-            let mut block = ColumnBlock::new(self.cursor.arity());
-            block.reserve(cap);
-            let got = self
-                .cursor
-                .next_cblock_retrying(&mut block, want, &self.ctx.retry);
-            self.note_retries();
-            let got = got?;
-            if got == 0 {
-                return Ok(false);
-            }
-            self.ctx.note_block(got);
-            self.ctx
-                .stats()
-                .add(Counter::CellsDecoded, (got * block.arity()) as u64);
-            if let Some(p) = &self.profile {
-                p.record_alloc(self.id, block.byte_size());
-            }
-            self.pending.reserve(got);
-            // The block is shared with every element's lazy children,
-            // so each refill adopts a fresh one — no buffer reuse.
-            let block = Arc::new(block);
-            self.decoder
-                .as_mut()
-                .expect("columnar rQ implies a block decoder")
-                .decode_block(&self.ctx, &block, &self.vars, &mut self.pending);
-            return Ok(true);
-        }
-        self.rbuf.clear();
-        self.rbuf.reserve(cap);
+        let mut block = ColumnBlock::new(self.cursor.arity());
+        block.reserve(cap);
         let got = self
             .cursor
-            .next_block_retrying(&mut self.rbuf, want, &self.ctx.retry);
+            .next_cblock_retrying(&mut block, want, &self.ctx.retry);
         self.note_retries();
         let got = got?;
         if got == 0 {
@@ -2195,31 +2048,18 @@ impl RelQueryStream {
         // Lift the session's Auto-ramp floor: a later cursor in this
         // session skips the warm-up this drain already paid for.
         self.ctx.note_block(got);
-        // Cell accounting is representation-independent: both paths
-        // charge one cell per column per decoded row.
         self.ctx
             .stats()
-            .add(Counter::CellsDecoded, (got * self.cursor.arity()) as u64);
-        self.pending.reserve(got);
-        match &mut self.decoder {
-            Some(dec) => {
-                for row in self.rbuf.drain(..) {
-                    let row: Arc<[Value]> = Arc::from(row);
-                    self.pending.push_back(LTuple::new(
-                        Arc::clone(&self.vars),
-                        dec.decode(&self.ctx, &row),
-                    ));
-                }
-            }
-            None => {
-                for row in &self.rbuf {
-                    self.pending.push_back(LTuple::new(
-                        Arc::clone(&self.vars),
-                        rq_row_to_vals(&self.ctx, &self.map, row),
-                    ));
-                }
-            }
+            .add(Counter::CellsDecoded, (got * block.arity()) as u64);
+        if let Some(p) = &self.profile {
+            p.record_alloc(self.id, block.byte_size());
         }
+        self.pending.reserve(got);
+        // The block is shared with every element's lazy children, so
+        // each refill adopts a fresh one — no buffer reuse.
+        let block = Arc::new(block);
+        self.decoder
+            .decode_block(&self.ctx, &block, &self.vars, &mut self.pending);
         Ok(true)
     }
 

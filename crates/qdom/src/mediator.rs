@@ -63,20 +63,14 @@ pub struct MediatorOptions {
     /// shipped-tuple accounting and the fault/retry schedule are
     /// unchanged (the prefetcher replays the consumer's block ramp).
     pub prefetch: PrefetchPolicy,
-    /// Ship source blocks as typed column vectors (the default).
-    /// `false` keeps the boxed per-row representation — the ablation
-    /// baseline for the columnar hot path. Representation only: tuples,
-    /// laziness and every shipped-data counter are identical either
-    /// way. Irrelevant under [`BlockPolicy::Off`], where cursors ship
-    /// one row per pull regardless.
-    pub columnar: bool,
-    /// How many decontextualized plan templates a session's *private*
-    /// cache keeps. With a shared cache installed this knob is unused —
-    /// the shared cache's own per-shard capacity governs instead.
+    /// How many decontextualized plan templates a session keeps when
+    /// no shared cache is installed (its own one-stripe
+    /// [`SharedPlanCache`]). With a shared cache installed this knob is
+    /// unused — the shared cache's own per-shard capacity governs.
     pub plan_cache_cap: usize,
     /// A process-wide plan-template cache shared across sessions (and
     /// across mediators built with the same handle). `None` (the
-    /// default) keeps each session's cache private.
+    /// default) gives each session a cache of its own.
     pub shared_plan_cache: Option<Arc<SharedPlanCache>>,
 }
 
@@ -91,7 +85,6 @@ impl Default for MediatorOptions {
             block: BlockPolicy::default(),
             retry: RetryPolicy::default(),
             prefetch: PrefetchPolicy::default(),
-            columnar: true,
             plan_cache_cap: DEFAULT_PLAN_CACHE_CAP,
             shared_plan_cache: None,
         }
@@ -162,22 +155,15 @@ impl MediatorOptionsBuilder {
         self
     }
 
-    /// Ship source blocks as typed column vectors (`false` = boxed-row
-    /// ablation baseline).
-    pub fn columnar(mut self, columnar: bool) -> Self {
-        self.opts.columnar = columnar;
-        self
-    }
-
-    /// Size of each session's private plan-template cache (clamped to
-    /// at least 1 entry at session open).
+    /// Size of each session's own plan-template cache when no shared
+    /// cache is installed (clamped to at least 1 entry).
     pub fn plan_cache_cap(mut self, cap: usize) -> Self {
         self.opts.plan_cache_cap = cap;
         self
     }
 
     /// Share `cache` across every session of this mediator: sessions
-    /// consult (and fill) it instead of their private caches, so
+    /// consult (and fill) it instead of caches of their own, so
     /// repeated query classes hit plans other sessions compiled.
     pub fn shared_plan_cache(mut self, cache: Arc<SharedPlanCache>) -> Self {
         self.opts.shared_plan_cache = Some(cache);

@@ -5,7 +5,7 @@
 //! navigation pattern: walk the `CustRec` list, refine each one) differ
 //! *only* in the key constants baked into their skolem ids. This cache
 //! keys on everything about a query-in-place *except* those constants —
-//! the query text, the producing result, and the skolem *structure* of
+//! the query text, the producing view, and the skolem *structure* of
 //! the node's id — and on a hit re-instantiates the cached plan pair by
 //! substituting the old node's keys for the new node's keys:
 //!
@@ -20,13 +20,14 @@
 //! when two old slots map to conflicting new values. All refusals fall
 //! back to the ordinary (correct, slower) pipeline.
 //!
-//! Templates come in two tiers: every session owns a small private
-//! [`PlanCache`], and a server can additionally hand its sessions one
-//! process-wide [`SharedPlanCache`] (a sharded, mutex-striped LRU of
-//! `Arc`'d templates) so the Nth session to walk the same navigation
-//! pattern hits plans the first one compiled. Templates are immutable
-//! once built — instantiation substitutes into a *clone* — which is
-//! what makes sharing them across threads safe and hits clone-free.
+//! One cache type serves every session: a [`SharedPlanCache`] (a
+//! sharded, mutex-striped LRU of `Arc`'d templates). A session without
+//! a configured cache owns a one-stripe instance, which keeps plain LRU
+//! order; a server can hand all its sessions one process-wide instance
+//! so the Nth session to walk the same navigation pattern hits plans
+//! the first one compiled. Templates are immutable once built —
+//! instantiation substitutes into a *clone* — which is what makes
+//! sharing them across threads safe and hits clone-free.
 
 use mix_algebra::{Cond, CondArg, Op, Plan};
 use mix_common::{BlockPolicy, Name, PrefetchPolicy, ShardedLru, Stats, Value, DEFAULT_SHARDS};
@@ -38,8 +39,8 @@ use std::sync::Arc;
 
 use crate::splice::{children_of, with_child_of};
 
-/// How many distinct (query, result, shape) templates a session keeps
-/// by default (and the default per-shard capacity of a
+/// How many distinct (query, view, shape) templates a session keeps by
+/// default (and the default per-shard capacity of a
 /// [`SharedPlanCache`]).
 pub const DEFAULT_PLAN_CACHE_CAP: usize = 16;
 
@@ -50,43 +51,44 @@ pub const DEFAULT_PLAN_CACHE_CAP: usize = 16;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct SkolemShape(Vec<(String, String, usize)>);
 
-/// Cache key: one query text issued from one result at one shape,
+/// Cache key: one query text issued from one view at one shape,
 /// compiled under one set of plan-shaping knobs, against one set of
-/// backends. The knobs matter: a cached physical plan bakes in kernel
-/// choices (`hash_joins`) and the block policy captured at build time,
-/// so an entry compiled under one knob setting must never be replayed
-/// under another. The backend fingerprint matters for the *shared*
-/// cache: two mediators over different databases (or different shard
-/// layouts) may issue identical query texts whose cached SQL is only
-/// correct against the catalog it was compiled for.
+/// backends. The view matters because a template is only valid for the
+/// view it was decontextualized against; it is keyed by
+/// [`view_fingerprint`] of the producing result's logical plan, so the
+/// key means the same thing in every session sharing a cache. The knobs
+/// matter: a cached physical plan bakes in kernel choices
+/// (`hash_joins`) and the block policy captured at build time, so an
+/// entry compiled under one knob setting must never be replayed under
+/// another. The backend fingerprint matters for a *shared* cache: two
+/// mediators over different databases (or different shard layouts) may
+/// issue identical query texts whose cached SQL is only correct against
+/// the catalog it was compiled for.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CacheKey {
     query: String,
-    result: usize,
+    view: u64,
     shape: SkolemShape,
     hash_joins: bool,
     block: BlockPolicy,
     prefetch: PrefetchPolicy,
-    columnar: bool,
     backend: u64,
 }
 
 impl CacheKey {
     /// The key and slot oids for issuing `query` from a node with
-    /// context `ctx` in result `result`, compiled with the given
-    /// plan-shape knobs against the catalog whose backends fingerprint
-    /// to `backend` (see [`mix_wrapper::Catalog`] in the session).
-    /// `None` when the node's id is not a skolem term
-    /// (decontextualization will fail anyway).
-    #[allow(clippy::too_many_arguments)]
+    /// context `ctx` in a result whose logical plan fingerprints to
+    /// `view`, compiled with the given plan-shape knobs against the
+    /// catalog whose backends fingerprint to `backend` (see
+    /// [`mix_wrapper::Catalog`] in the session). `None` when the node's
+    /// id is not a skolem term (decontextualization will fail anyway).
     pub(crate) fn new(
         query: &str,
-        result: usize,
+        view: u64,
         ctx: &NodeContext,
         hash_joins: bool,
         block: BlockPolicy,
         prefetch: PrefetchPolicy,
-        columnar: bool,
         backend: u64,
     ) -> Option<(CacheKey, Vec<Oid>)> {
         let (func, var, args) = ctx.oid.as_skolem()?;
@@ -106,24 +108,39 @@ impl CacheKey {
         }
         let key = CacheKey {
             query: query.to_string(),
-            result,
+            view,
             shape: SkolemShape(shape),
             hash_joins,
             // Fixed(0) and Fixed(1) compile to the same plans.
             block: block.normalized(),
             // Depth(0) clamps to Depth(1) at the cursor; same plans.
             prefetch: prefetch.normalized(),
-            // The block representation is a session knob too: a replayed
-            // plan must decode the way its EXPLAIN (`repr=`) promised.
-            columnar,
             backend,
         };
         Some((key, slots))
     }
 }
 
-/// One immutable decontextualized template. Shared freely (the shared
-/// cache hands out `Arc`s); instantiation substitutes into clones.
+/// Fingerprint of a view plan — the only view input decontextualization
+/// reads. Hashes the plan's full debug rendering, so any difference in
+/// the plan (including its result-root name) yields a different key.
+pub(crate) fn view_fingerprint(plan: &Plan) -> u64 {
+    use std::fmt::Write as _;
+    use std::hash::Hasher;
+    struct HashWriter(std::collections::hash_map::DefaultHasher);
+    impl std::fmt::Write for HashWriter {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0.write(s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut w = HashWriter(Default::default());
+    write!(w, "{plan:?}").expect("hashing never fails");
+    w.0.finish()
+}
+
+/// One immutable decontextualized template. Shared freely (the cache
+/// hands out `Arc`s); instantiation substitutes into clones.
 pub(crate) struct CachedPlan {
     exec: Plan,
     logical: Plan,
@@ -134,115 +151,14 @@ pub(crate) struct CachedPlan {
     slots: Vec<Oid>,
 }
 
-/// Instantiate a template for a node whose slots are `new_slots`,
-/// renaming the result root to `result_name`. `None` when substitution
-/// would be ambiguous. Shared by both cache tiers.
-fn instantiate(
-    cached: &CachedPlan,
-    new_slots: &[Oid],
-    result_name: &str,
-) -> Option<(Plan, Plan, Plan, RewriteTrace)> {
-    let (omap, vmap) = substitution(&cached.slots, new_slots)?;
-    let exec = rename_root(&subst_plan(&cached.exec, &omap, &vmap), result_name);
-    let logical = rename_root(&subst_plan(&cached.logical, &omap, &vmap), result_name);
-    let naive = rename_root(&subst_plan(&cached.naive, &omap, &vmap), result_name);
-    Some((exec, logical, naive, cached.trace.clone()))
-}
-
-/// Build a template from a freshly decontextualized plan pair, or
-/// `None` when its slots are not unambiguous markers (see the guards
-/// below). Shared by both cache tiers.
-#[allow(clippy::too_many_arguments)]
-fn make_template(
-    slots: Vec<Oid>,
-    exec: &Plan,
-    logical: &Plan,
-    naive: &Plan,
-    trace: &RewriteTrace,
-    query_plan: &Plan,
-    view_plan: &Plan,
-) -> Option<CachedPlan> {
-    if !cacheable(&slots, query_plan, view_plan) {
-        return None;
-    }
-    Some(CachedPlan {
-        exec: exec.clone(),
-        logical: logical.clone(),
-        naive: naive.clone(),
-        trace: trace.clone(),
-        slots,
-    })
-}
-
-/// A small per-session LRU of decontextualized plan templates.
-pub(crate) struct PlanCache {
-    entries: Vec<(CacheKey, Arc<CachedPlan>)>,
-    cap: usize,
-}
-
-impl Default for PlanCache {
-    fn default() -> PlanCache {
-        PlanCache::with_cap(DEFAULT_PLAN_CACHE_CAP)
-    }
-}
-
-impl PlanCache {
-    /// An empty cache keeping at most `cap` templates (clamped ≥ 1).
-    pub(crate) fn with_cap(cap: usize) -> PlanCache {
-        PlanCache {
-            entries: Vec::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Instantiate a cached template for a node whose slots are
-    /// `new_slots`, renaming the result root to `result_name`. `None`
-    /// on a structural miss or when substitution would be ambiguous.
-    pub(crate) fn lookup(
-        &mut self,
-        key: &CacheKey,
-        new_slots: &[Oid],
-        result_name: &str,
-    ) -> Option<(Plan, Plan, Plan, RewriteTrace)> {
-        let pos = self.entries.iter().position(|(k, _)| k == key)?;
-        let out = instantiate(&self.entries[pos].1, new_slots, result_name)?;
-        // LRU bump (a hit is a hit either way).
-        let entry = self.entries.remove(pos);
-        self.entries.insert(0, entry);
-        Some(out)
-    }
-
-    /// Remember a freshly decontextualized plan pair as a template, if
-    /// its slots are unambiguous markers (see the guards below).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn insert(
-        &mut self,
-        key: CacheKey,
-        slots: Vec<Oid>,
-        exec: &Plan,
-        logical: &Plan,
-        naive: &Plan,
-        trace: &RewriteTrace,
-        query_plan: &Plan,
-        view_plan: &Plan,
-    ) {
-        let Some(t) = make_template(slots, exec, logical, naive, trace, query_plan, view_plan)
-        else {
-            return;
-        };
-        self.entries.retain(|(k, _)| *k != key);
-        self.entries.insert(0, (key, Arc::new(t)));
-        self.entries.truncate(self.cap);
-    }
-}
-
-/// A process-wide, thread-safe plan-template cache shared across
-/// sessions (and across mediators over the same catalog): a sharded,
-/// mutex-striped LRU of `Arc`'d templates. Hand one to
+/// The plan-template cache: a sharded, mutex-striped LRU of `Arc`'d
+/// templates, safe to share across threads. A session with no cache
+/// configured owns a one-stripe instance (remove on hit, insert at the
+/// front, truncate — plain LRU). Hand one to
 /// [`MediatorOptions::builder`](crate::MediatorOptions::builder) via
-/// `shared_plan_cache` and every session of that mediator consults it
-/// before (and instead of) its private cache — the Nth session to walk
-/// a navigation pattern hits the plans the first one compiled.
+/// `shared_plan_cache` and every session of that mediator uses it
+/// instead — the Nth session to walk a navigation pattern hits the
+/// plans the first one compiled.
 ///
 /// Each session still counts its *own* `PlanCacheHits`/`Misses`; the
 /// cache's [`SharedPlanCache::stats`] carries the process-wide
@@ -293,9 +209,11 @@ impl SharedPlanCache {
         self.inner.is_empty()
     }
 
-    /// Look up and instantiate — the shard lock is held only for the
-    /// lookup itself; substitution runs on the caller's thread against
-    /// the `Arc`'d template.
+    /// Look up and instantiate a template for a node whose slots are
+    /// `new_slots`, renaming the result root to `result_name`. `None`
+    /// on a structural miss or when substitution would be ambiguous. The
+    /// shard lock is held only for the lookup itself; substitution runs
+    /// on the caller's thread against the `Arc`'d template.
     pub(crate) fn lookup(
         &self,
         key: &CacheKey,
@@ -303,10 +221,18 @@ impl SharedPlanCache {
         result_name: &str,
     ) -> Option<(Plan, Plan, Plan, RewriteTrace)> {
         let cached = self.inner.get(key)?;
-        instantiate(&cached, new_slots, result_name)
+        let (omap, vmap) = substitution(&cached.slots, new_slots)?;
+        let inst = |p: &Plan| rename_root(&subst_plan(p, &omap, &vmap), result_name);
+        Some((
+            inst(&cached.exec),
+            inst(&cached.logical),
+            inst(&cached.naive),
+            cached.trace.clone(),
+        ))
     }
 
-    /// Remember a freshly decontextualized plan pair, if cacheable.
+    /// Remember a freshly decontextualized plan pair as a template, if
+    /// its slots are unambiguous markers (see [`cacheable`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn insert(
         &self,
@@ -319,11 +245,17 @@ impl SharedPlanCache {
         query_plan: &Plan,
         view_plan: &Plan,
     ) {
-        let Some(t) = make_template(slots, exec, logical, naive, trace, query_plan, view_plan)
-        else {
+        if !cacheable(&slots, query_plan, view_plan) {
             return;
+        }
+        let template = CachedPlan {
+            exec: exec.clone(),
+            logical: logical.clone(),
+            naive: naive.clone(),
+            trace: trace.clone(),
+            slots,
         };
-        self.inner.insert(key, Arc::new(t));
+        self.inner.insert(key, Arc::new(template));
     }
 }
 
@@ -555,63 +487,10 @@ mod tests {
         assert!(!cacheable(&[key_slot("A|B")], &empty_plan(), &empty_plan()));
     }
 
-    #[test]
-    fn lru_evicts_beyond_capacity() {
-        let mut cache = PlanCache::default();
-        let shape = SkolemShape(vec![("f".into(), "V".into(), 1)]);
-        for i in 0..(DEFAULT_PLAN_CACHE_CAP + 4) {
-            let key = CacheKey {
-                query: format!("q{i}"),
-                result: 0,
-                shape: shape.clone(),
-                hash_joins: true,
-                block: BlockPolicy::Auto,
-                prefetch: PrefetchPolicy::Off,
-                columnar: true,
-                backend: 0,
-            };
-            cache.insert(
-                key,
-                vec![key_slot("K")],
-                &empty_plan(),
-                &empty_plan(),
-                &empty_plan(),
-                &RewriteTrace::default(),
-                &empty_plan(),
-                &empty_plan(),
-            );
-        }
-        assert_eq!(cache.entries.len(), DEFAULT_PLAN_CACHE_CAP);
-        // The oldest entries were evicted.
-        let key0 = CacheKey {
-            query: "q0".into(),
-            result: 0,
-            shape,
-            hash_joins: true,
-            block: BlockPolicy::Auto,
-            prefetch: PrefetchPolicy::Off,
-            columnar: true,
-            backend: 0,
-        };
-        assert!(cache.lookup(&key0, &[key_slot("K")], "rootv0").is_none());
-    }
-
-    #[test]
-    fn plan_shape_knobs_partition_the_key() {
-        // A template cached under one (hash_joins, block) setting must
-        // not be replayed under another — toggling an ablation knob
-        // changes the physical plan the cache would hand back.
-        let mut cache = PlanCache::default();
-        let ctx = NodeContext {
-            oid: Oid::skolem("f", "V", vec![key_slot("DEF345")]),
-            ancestors: vec![],
-        };
-        let pf = PrefetchPolicy::Off;
-        let (key, slots) =
-            CacheKey::new("q", 0, &ctx, true, BlockPolicy::Auto, pf, true, 0).expect("skolem oid");
+    fn insert_empty(cache: &SharedPlanCache, key: CacheKey, slots: Vec<Oid>) {
         cache.insert(
             key,
-            slots.clone(),
+            slots,
             &empty_plan(),
             &empty_plan(),
             &empty_plan(),
@@ -619,60 +498,80 @@ mod tests {
             &empty_plan(),
             &empty_plan(),
         );
-        // Same query/node, different knobs: structural misses.
-        let (nl_key, _) =
-            CacheKey::new("q", 0, &ctx, false, BlockPolicy::Auto, pf, true, 0).unwrap();
-        assert!(cache.lookup(&nl_key, &slots, "rootv1").is_none());
-        let (off_key, _) =
-            CacheKey::new("q", 0, &ctx, true, BlockPolicy::Off, pf, true, 0).unwrap();
-        assert!(cache.lookup(&off_key, &slots, "rootv1").is_none());
-        let (pf_key, _) = CacheKey::new(
-            "q",
-            0,
-            &ctx,
-            true,
-            BlockPolicy::Auto,
-            PrefetchPolicy::Auto,
-            true,
-            0,
-        )
-        .unwrap();
-        assert!(cache.lookup(&pf_key, &slots, "rootv1").is_none());
-        let (row_key, _) =
-            CacheKey::new("q", 0, &ctx, true, BlockPolicy::Auto, pf, false, 0).unwrap();
-        assert!(cache.lookup(&row_key, &slots, "rootv1").is_none());
+    }
+
+    #[test]
+    fn lru_evicts_beyond_capacity() {
+        // A session's own cache: one stripe, plain LRU order.
+        let cache = SharedPlanCache::new(1, DEFAULT_PLAN_CACHE_CAP);
+        let shape = SkolemShape(vec![("f".into(), "V".into(), 1)]);
+        let key = |i: usize| CacheKey {
+            query: format!("q{i}"),
+            view: 0,
+            shape: shape.clone(),
+            hash_joins: true,
+            block: BlockPolicy::Auto,
+            prefetch: PrefetchPolicy::Off,
+            backend: 0,
+        };
+        for i in 0..(DEFAULT_PLAN_CACHE_CAP + 4) {
+            insert_empty(&cache, key(i), vec![key_slot("K")]);
+        }
+        assert_eq!(cache.len(), DEFAULT_PLAN_CACHE_CAP);
+        // The oldest entries were evicted.
+        assert!(cache.lookup(&key(0), &[key_slot("K")], "rootv0").is_none());
+        assert!(cache
+            .lookup(&key(DEFAULT_PLAN_CACHE_CAP + 3), &[key_slot("K")], "rootv0")
+            .is_some());
+    }
+
+    #[test]
+    fn plan_shape_knobs_partition_the_key() {
+        // A template cached under one (view, hash_joins, block,
+        // prefetch) setting must not be replayed under another —
+        // toggling an ablation knob changes the physical plan the cache
+        // would hand back, and another view changes the logical one.
+        let cache = SharedPlanCache::new(1, DEFAULT_PLAN_CACHE_CAP);
+        let ctx = NodeContext {
+            oid: Oid::skolem("f", "V", vec![key_slot("DEF345")]),
+            ancestors: vec![],
+        };
+        let pf = PrefetchPolicy::Off;
+        let auto = BlockPolicy::Auto;
+        let (key, slots) = CacheKey::new("q", 7, &ctx, true, auto, pf, 0).expect("skolem oid");
+        insert_empty(&cache, key, slots.clone());
+        // Same query/node, different view or knobs: structural misses.
+        for (view, hash_joins, block, prefetch) in [
+            (8, true, auto, pf),
+            (7, false, auto, pf),
+            (7, true, BlockPolicy::Off, pf),
+            (7, true, auto, PrefetchPolicy::Auto),
+        ] {
+            let (k, _) = CacheKey::new("q", view, &ctx, hash_joins, block, prefetch, 0).unwrap();
+            assert!(cache.lookup(&k, &slots, "rootv1").is_none());
+        }
         // The original knobs still hit, and Fixed(0) normalizes to
         // Fixed(1) rather than minting a third key for the same plans.
-        let (same, _) = CacheKey::new("q", 0, &ctx, true, BlockPolicy::Auto, pf, true, 0).unwrap();
+        let (same, _) = CacheKey::new("q", 7, &ctx, true, auto, pf, 0).unwrap();
         assert!(cache.lookup(&same, &slots, "rootv1").is_some());
-        let (f0, _) =
-            CacheKey::new("q", 0, &ctx, true, BlockPolicy::Fixed(0), pf, true, 0).unwrap();
-        let (f1, _) =
-            CacheKey::new("q", 0, &ctx, true, BlockPolicy::Fixed(1), pf, true, 0).unwrap();
+        let (f0, _) = CacheKey::new("q", 7, &ctx, true, BlockPolicy::Fixed(0), pf, 0).unwrap();
+        let (f1, _) = CacheKey::new("q", 7, &ctx, true, BlockPolicy::Fixed(1), pf, 0).unwrap();
         assert_eq!(f0, f1);
         // Depth(0) normalizes to Depth(1) likewise.
-        let (d0, _) = CacheKey::new(
-            "q",
-            0,
-            &ctx,
-            true,
-            BlockPolicy::Auto,
-            PrefetchPolicy::Depth(0),
-            true,
-            0,
-        )
-        .unwrap();
-        let (d1, _) = CacheKey::new(
-            "q",
-            0,
-            &ctx,
-            true,
-            BlockPolicy::Auto,
-            PrefetchPolicy::Depth(1),
-            true,
-            0,
-        )
-        .unwrap();
+        let (d0, _) = CacheKey::new("q", 7, &ctx, true, auto, PrefetchPolicy::Depth(0), 0).unwrap();
+        let (d1, _) = CacheKey::new("q", 7, &ctx, true, auto, PrefetchPolicy::Depth(1), 0).unwrap();
         assert_eq!(d0, d1);
+    }
+
+    #[test]
+    fn view_fingerprint_tells_views_apart() {
+        let a = Plan::new(Op::Empty {
+            vars: vec![Name::new("x")],
+        });
+        let b = Plan::new(Op::Empty {
+            vars: vec![Name::new("y")],
+        });
+        assert_eq!(view_fingerprint(&a), view_fingerprint(&a.clone()));
+        assert_ne!(view_fingerprint(&a), view_fingerprint(&b));
     }
 }

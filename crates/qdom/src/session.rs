@@ -2,7 +2,7 @@
 
 use crate::decontext::decontextualize;
 use crate::mediator::Mediator;
-use crate::plancache::{CacheKey, PlanCache, SharedPlanCache};
+use crate::plancache::{view_fingerprint, CacheKey, SharedPlanCache};
 use crate::splice::{compose, references_source};
 use mix_algebra::{translate_with_root, Plan};
 use mix_common::ColumnBlock;
@@ -10,7 +10,7 @@ use mix_common::{Counter, MixError, Name, Result, Value};
 use mix_engine::{eager, render_annotated, AccessMode, EvalContext, NodeContext, VirtualResult};
 use mix_obs::ExecProfile;
 use mix_proto::{Command, Reply, WireNode};
-use mix_rewrite::{optimize, rewrite, RewriteTrace};
+use mix_rewrite::{lower, rewrite, RewriteTrace};
 use mix_xml::{Document, NavDoc, NodeRef, Oid};
 use mix_xquery::parse_query;
 use std::sync::Arc;
@@ -46,6 +46,9 @@ pub struct ResultInfo {
     /// front by an eager run, incrementally by navigation in a lazy
     /// one.
     pub profile: Arc<ExecProfile>,
+    /// Plan-cache fingerprint of `logical_plan`, computed on the first
+    /// query-in-place from one of this result's interior nodes.
+    view_fp: Option<u64>,
     doc: ResultDoc,
 }
 
@@ -123,11 +126,9 @@ pub struct QdomSession<'m> {
     mediator: MediatorRef<'m>,
     ctx: Arc<EvalContext>,
     results: Vec<ResultInfo>,
-    /// Private template cache — the fallback when no shared cache is
-    /// installed.
-    plan_cache: PlanCache,
-    /// The process-wide cache, when the mediator options carry one.
-    shared_cache: Option<Arc<SharedPlanCache>>,
+    /// The template cache: the mediator's shared cache when its options
+    /// carry one, else a one-stripe cache of this session's own.
+    plan_cache: Arc<SharedPlanCache>,
     /// Fingerprint of the catalog's backends, computed once at session
     /// start — part of every plan-cache key, so mediators over
     /// different databases (or shard layouts) sharing one
@@ -153,7 +154,6 @@ impl<'m> QdomSession<'m> {
         ctx.block = opts.block;
         ctx.retry = opts.retry;
         ctx.prefetch = opts.prefetch;
-        ctx.columnar = opts.columnar;
         // Sources share the session's tracer, so SQL issuance and row
         // shipping show up as events under the operator that caused
         // them.
@@ -164,8 +164,9 @@ impl<'m> QdomSession<'m> {
         QdomSession {
             ctx: Arc::new(ctx),
             results: Vec::new(),
-            plan_cache: PlanCache::with_cap(opts.plan_cache_cap),
-            shared_cache: opts.shared_plan_cache,
+            plan_cache: opts
+                .shared_plan_cache
+                .unwrap_or_else(|| Arc::new(SharedPlanCache::new(1, opts.plan_cache_cap))),
             backend_fp,
             mediator,
         }
@@ -332,50 +333,36 @@ impl<'m> QdomSession<'m> {
         // cache before running the translate → splice → rewrite
         // pipeline.
         let nctx = self.context(p);
+        let entry = &mut self.results[p.result];
+        let view = *entry
+            .view_fp
+            .get_or_insert_with(|| view_fingerprint(&entry.logical_plan));
         let cache_key = CacheKey::new(
             text,
-            p.result,
+            view,
             &nctx,
             self.ctx.hash_joins,
             self.ctx.block,
             self.ctx.prefetch,
-            self.ctx.columnar,
             self.backend_fp,
         );
         if let Some((key, new_slots)) = &cache_key {
-            // The shared (cross-session) cache, when installed,
-            // replaces the private one entirely — one tier fields every
-            // lookup, so a session's hit/miss counters mean the same
-            // thing either way.
-            let hit = match &self.shared_cache {
-                Some(shared) => shared.lookup(key, new_slots, &result_name),
-                None => self.plan_cache.lookup(key, new_slots, &result_name),
-            };
-            if let Some((exec, logical, naive, trace)) = hit {
+            if let Some((exec, logical, naive, trace)) =
+                self.plan_cache.lookup(key, new_slots, &result_name)
+            {
                 self.ctx.stats().inc(Counter::PlanCacheHits);
                 return self.push_result(exec, logical, naive, trace);
             }
             self.ctx.stats().inc(Counter::PlanCacheMisses);
         }
-        let entry = &self.results[p.result];
-        let plan = decontextualize(&qplan, &nctx, &entry.logical_plan)?;
-        let naive = plan.clone();
-        let (exec, logical, trace) = if self.med().options().optimize {
-            let out = optimize(&plan, self.med().catalog());
-            (out.plan, rewrite(&plan).plan, out.trace)
-        } else {
-            (plan.clone(), plan, RewriteTrace::default())
-        };
+        let view_plan = &self.results[p.result].logical_plan;
+        let plan = decontextualize(&qplan, &nctx, view_plan)?;
+        let (exec, logical, naive, trace) = self.compile(plan);
         if let Some((key, slots)) = cache_key {
-            let view = &self.results[p.result].logical_plan;
-            match &self.shared_cache {
-                Some(shared) => {
-                    shared.insert(key, slots, &exec, &logical, &naive, &trace, &qplan, view)
-                }
-                None => self
-                    .plan_cache
-                    .insert(key, slots, &exec, &logical, &naive, &trace, &qplan, view),
-            }
+            let view_plan = &self.results[p.result].logical_plan;
+            self.plan_cache.insert(
+                key, slots, &exec, &logical, &naive, &trace, &qplan, view_plan,
+            );
         }
         self.push_result(exec, logical, naive, trace)
     }
@@ -403,16 +390,22 @@ impl<'m> QdomSession<'m> {
     }
 
     fn execute(&mut self, plan: Plan) -> Result<QNode> {
-        if self.med().options().optimize {
-            let out = optimize(&plan, self.med().catalog());
-            // The logical plan for later composition is the rewritten,
-            // pre-split plan.
-            let logical = rewrite(&plan).plan;
-            let naive = plan;
-            self.push_result(out.plan, logical, naive, out.trace)
-        } else {
-            self.execute_unoptimized(plan)
+        let (exec, logical, naive, trace) = self.compile(plan);
+        self.push_result(exec, logical, naive, trace)
+    }
+
+    /// The (executed, logical, naive) plans and rewrite trace of a
+    /// spliced plan. With optimization on, the plan is rewritten once:
+    /// the rewritten plan is the logical plan later composition splices
+    /// from, and lowering it yields the executed plan.
+    fn compile(&self, plan: Plan) -> (Plan, Plan, Plan, RewriteTrace) {
+        if !self.med().options().optimize {
+            return (plan.clone(), plan.clone(), plan, RewriteTrace::default());
         }
+        let rewritten = rewrite(&plan);
+        let logical = rewritten.plan.clone();
+        let out = lower(rewritten, self.med().catalog());
+        (out.plan, logical, plan, out.trace)
     }
 
     fn execute_unoptimized(&mut self, plan: Plan) -> Result<QNode> {
@@ -451,6 +444,7 @@ impl<'m> QdomSession<'m> {
             naive_plan,
             trace,
             profile,
+            view_fp: None,
             doc,
         });
         Ok(QNode {
@@ -968,7 +962,7 @@ mod tests {
 
     #[test]
     fn plan_cache_cap_evicts_lru() {
-        // With a one-entry private cache, a second query class evicts
+        // With a one-entry session cache, a second query class evicts
         // the first: re-issuing the first class misses again.
         let (cat, _) = fig2_catalog();
         let opts = MediatorOptions::builder().plan_cache_cap(1).build();

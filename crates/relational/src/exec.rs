@@ -1,16 +1,17 @@
 //! Pipelined execution.
 //!
-//! Every plan node is an iterator; [`Cursor`] is the source's client
-//! handle, which "allows the partial evaluation of the result"
-//! (Section 1). The shared [`Stats`] counts rows scanned internally and
-//! tuples shipped through the cursor, so benchmarks can observe how much
-//! of a query the mediator actually pulled.
+//! Every plan node is an iterator over typed [`ColumnBlock`]s; [`Cursor`]
+//! is the source's client handle, which "allows the partial evaluation
+//! of the result" (Section 1). A column block is the only shape that
+//! crosses the cursor seam. The shared [`Stats`] counts rows scanned
+//! internally and tuples shipped through the cursor, so benchmarks can
+//! observe how much of a query the mediator actually pulled.
 //!
 //! Every pull is fallible: a remote backend (or the chaos wrapper,
-//! [`crate::FaultPolicy`]) can fail any block, so `next`/`next_block`/
-//! `drain` return `Result` and a failed pull delivers *no* rows —
-//! re-issuing the same pull after a transient fault returns exactly
-//! what the failed one would have ([`Cursor::next_block_retrying`]).
+//! [`crate::FaultPolicy`]) can fail any block, so pulls return `Result`
+//! and a failed pull delivers *no* rows — re-issuing the same pull after
+//! a transient fault returns exactly what the failed one would have
+//! ([`Cursor::next_cblock_retrying`]).
 
 use crate::fault::ChaosState;
 use crate::plan::{PhysPlan, ROperand, RPred};
@@ -21,57 +22,22 @@ use mix_common::{
     BlockRamp, ColumnBlock, Counter, MixError, PrefetchPolicy, Result, RetryPolicy, Stats, Value,
 };
 use mix_obs::TracerHandle;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A pipelined row iterator. Fallible: only the chaos wrapper fails
-/// today, but the `Result` contract is what lets real remote backends
-/// slot in behind the same cursor. `Send` because rows are plain
-/// [`Value`] data: the pipelined prefetcher can move a compiled plan to
-/// its thread without touching anything above the [`Cursor`] seam.
+/// A pipelined iterator over typed column blocks. Fallible: only the
+/// chaos wrapper fails today, but the `Result` contract is what lets
+/// real remote backends slot in behind the same cursor. `Send` because
+/// blocks are plain [`Value`] data: the pipelined prefetcher can move a
+/// compiled plan to its thread without touching anything above the
+/// [`Cursor`] seam.
 pub(crate) trait RowIter: Send {
-    fn next_row(&mut self) -> Result<Option<Row>>;
-
-    /// Append up to `n` rows to `out`; returns how many were produced.
-    /// The default loops over [`RowIter::next_row`]; operators with a
-    /// cheaper bulk path (scan, project, sort) override it so a block
-    /// pull pays one virtual dispatch instead of `n`. On `Err`, no row
-    /// was appended.
-    fn next_block(&mut self, out: &mut Vec<Row>, n: usize) -> Result<usize> {
-        let mut k = 0;
-        while k < n {
-            match self.next_row()? {
-                Some(r) => {
-                    out.push(r);
-                    k += 1;
-                }
-                None => break,
-            }
-        }
-        Ok(k)
-    }
-
-    /// Append up to `n` rows to the columnar block `out`; returns how
-    /// many were produced. The default routes through
-    /// [`RowIter::next_block`] via `scratch` (cleared here first);
-    /// sources with native columnar storage (the table scan) override
-    /// it to copy column-at-a-time without materializing rows. On
-    /// `Err`, nothing was appended.
-    fn next_cblock(
-        &mut self,
-        out: &mut ColumnBlock,
-        n: usize,
-        scratch: &mut Vec<Row>,
-    ) -> Result<usize> {
-        scratch.clear();
-        let k = self.next_block(scratch, n)?;
-        out.reserve(k);
-        for r in scratch.drain(..) {
-            out.push_row(r);
-        }
-        Ok(k)
-    }
+    /// Append up to `n` rows to `out`; returns how many were produced
+    /// (`0` = exhausted). A join may append every match of the probe
+    /// rows it pulled, which can exceed `n`. On `Err`, nothing was
+    /// appended.
+    fn next_cblock(&mut self, out: &mut ColumnBlock, n: usize) -> Result<usize>;
 
     /// `(lower, upper)` bounds on the rows still to come, like
     /// [`Iterator::size_hint`].
@@ -84,12 +50,12 @@ pub(crate) trait RowIter: Send {
 /// collection). One block of this size costs one virtual dispatch.
 const DRAIN_BLOCK: usize = mix_common::MAX_AUTO_BLOCK;
 
-/// Drain `src` to exhaustion into `out`, block at a time.
-fn drain_all(src: &mut dyn RowIter, out: &mut Vec<Row>) -> Result<()> {
-    let (lo, _) = src.size_hint();
-    out.reserve(lo);
-    while src.next_block(out, DRAIN_BLOCK)? > 0 {}
-    Ok(())
+/// Drain `src` (of the given arity) to exhaustion into one block.
+fn materialize(src: &mut dyn RowIter, arity: usize) -> Result<ColumnBlock> {
+    let mut block = ColumnBlock::new(arity);
+    block.reserve(src.size_hint().0);
+    while src.next_cblock(&mut block, DRAIN_BLOCK)? > 0 {}
+    Ok(block)
 }
 
 /// Run one chaos-gated pull against the compiled plan: the fault gate
@@ -97,41 +63,19 @@ fn drain_all(src: &mut dyn RowIter, out: &mut Vec<Row>) -> Result<()> {
 /// side-effect-free and retryable), and the modelled backend RTT is
 /// *returned*, not paid — the synchronous path sleeps it inline, the
 /// prefetcher defers delivery to the block's arrival time. Shared by
-/// [`Cursor`] and the prefetcher thread so both paths run the exact
-/// same admit sequence.
-pub(crate) fn gated_pull(
-    iter: &mut dyn RowIter,
-    chaos: &mut Option<ChaosState>,
-    out: &mut Vec<Row>,
-    n: usize,
-) -> Result<(usize, u64)> {
-    match chaos {
-        None => Ok((iter.next_block(out, n)?, 0)),
-        Some(state) => {
-            let (allowed, latency_ms) = state.admit(n)?;
-            let k = iter.next_block(out, allowed)?;
-            state.delivered(k as u64);
-            Ok((k, latency_ms))
-        }
-    }
-}
-
-/// [`gated_pull`] for the columnar path. Runs the *identical* admit
-/// sequence (the fault gate sees only block sizes, never the block
-/// representation), so a row run and a columnar run of the same query
-/// draw the same fault schedule.
+/// [`Cursor`] and the prefetcher job so both paths run the exact same
+/// admit sequence.
 pub(crate) fn gated_cpull(
     iter: &mut dyn RowIter,
     chaos: &mut Option<ChaosState>,
     out: &mut ColumnBlock,
     n: usize,
-    scratch: &mut Vec<Row>,
 ) -> Result<(usize, u64)> {
     match chaos {
-        None => Ok((iter.next_cblock(out, n, scratch)?, 0)),
+        None => Ok((iter.next_cblock(out, n)?, 0)),
         Some(state) => {
             let (allowed, latency_ms) = state.admit(n)?;
-            let k = iter.next_cblock(out, allowed, scratch)?;
+            let k = iter.next_cblock(out, allowed)?;
             state.delivered(k as u64);
             Ok((k, latency_ms))
         }
@@ -174,8 +118,8 @@ enum Backing {
 /// positions (`keys`); the merge repeatedly emits the smallest buffered
 /// head. Invariants:
 ///
-/// * A child is pulled only when its buffer is empty, so `done[i]`
-///   implies `bufs[i]` is empty — exhaustion never strands rows.
+/// * A child is pulled only when its buffer is drained, so `done[i]`
+///   implies buffer `i` is drained — exhaustion never strands rows.
 /// * Rows are emitted only while every non-exhausted child has a
 ///   buffered row; when a buffer runs dry mid-block the pull returns a
 ///   *partial* count (`> 0`), and only full exhaustion returns `0`.
@@ -184,7 +128,9 @@ enum Backing {
 ///   retryable, and a retry only re-pulls the child that failed.
 pub(crate) struct MergeState {
     children: Vec<Cursor>,
-    bufs: Vec<VecDeque<Row>>,
+    /// Each child's last pulled block; rows `heads[i]..` are unmerged.
+    bufs: Vec<ColumnBlock>,
+    heads: Vec<usize>,
     done: Vec<bool>,
     /// Comparator positions into the (possibly key-widened) child row.
     keys: Vec<usize>,
@@ -201,46 +147,44 @@ pub(crate) struct MergeState {
 }
 
 impl MergeState {
-    /// Compare two buffered heads; `ai`/`bi` are shard indexes (the
-    /// final tie-break, making the merge deterministic).
-    fn cmp_rows(&self, a: &Row, ai: usize, b: &Row, bi: usize) -> std::cmp::Ordering {
+    fn buffered(&self, i: usize) -> usize {
+        self.bufs[i].len() - self.heads[i]
+    }
+
+    /// Compare the heads of children `a` and `b` (the shard index is
+    /// the final tie-break, making the merge deterministic).
+    fn cmp_heads(&self, a: usize, b: usize) -> std::cmp::Ordering {
         use std::cmp::Ordering::Equal;
-        for &k in &self.keys {
-            let o = a[k].total_cmp(&b[k]);
+        let (ba, ra) = (&self.bufs[a], self.heads[a]);
+        let (bb, rb) = (&self.bufs[b], self.heads[b]);
+        let full = 0..if self.dedup { ba.arity() } else { 0 };
+        for c in self.keys.iter().copied().chain(full) {
+            let o = ba.value_at(ra, c).total_cmp(&bb.value_at(rb, c));
             if o != Equal {
                 return o;
             }
         }
-        if self.dedup {
-            for (x, y) in a.iter().zip(b.iter()) {
-                let o = x.total_cmp(y);
-                if o != Equal {
-                    return o;
-                }
-            }
-        }
-        ai.cmp(&bi)
+        a.cmp(&b)
     }
 
     /// Append up to `n` merged rows to `out`. See the struct docs for
     /// the refill/emit protocol.
-    fn pull(&mut self, out: &mut Vec<Row>, n: usize) -> Result<usize> {
+    fn pull(&mut self, out: &mut ColumnBlock, n: usize) -> Result<usize> {
         let mut k = 0;
         loop {
-            // Phase 1: refill every empty, non-exhausted child buffer.
+            // Phase 1: refill every drained, non-exhausted child buffer.
             // Errors propagate before any row of this round is emitted.
             for i in 0..self.children.len() {
-                if self.done[i] || !self.bufs[i].is_empty() {
+                if self.done[i] || self.buffered(i) > 0 {
                     continue;
                 }
-                let mut tmp = Vec::new();
-                if self.children[i].next_block(&mut tmp, n.max(1))? == 0 {
+                self.bufs[i].clear();
+                self.heads[i] = 0;
+                if self.children[i].next_cblock(&mut self.bufs[i], n.max(1))? == 0 {
                     self.done[i] = true;
-                } else {
-                    self.bufs[i].extend(tmp);
                 }
             }
-            if self.bufs.iter().all(VecDeque::is_empty) {
+            if (0..self.children.len()).all(|i| self.buffered(i) == 0) {
                 return Ok(k); // fully exhausted (k may be 0)
             }
             // Phase 2: emit minima while every live child is buffered.
@@ -248,41 +192,31 @@ impl MergeState {
                 if k == n {
                     return Ok(k);
                 }
-                if (0..self.children.len()).any(|i| !self.done[i] && self.bufs[i].is_empty()) {
+                if (0..self.children.len()).any(|i| !self.done[i] && self.buffered(i) == 0) {
                     break; // a live child ran dry: partial block or refill
                 }
-                let mut best: Option<usize> = None;
-                for i in 0..self.children.len() {
-                    let Some(head) = self.bufs[i].front() else {
-                        continue;
-                    };
-                    best = Some(match best {
-                        None => i,
-                        Some(b) => {
-                            let cur = self.bufs[b].front().expect("best buffer non-empty");
-                            if self.cmp_rows(head, i, cur, b).is_lt() {
-                                i
-                            } else {
-                                b
-                            }
+                let Some(b) = (0..self.children.len())
+                    .filter(|&i| self.buffered(i) > 0)
+                    .reduce(|best, i| {
+                        if self.cmp_heads(i, best).is_lt() {
+                            i
+                        } else {
+                            best
                         }
-                    });
-                }
-                let Some(b) = best else {
+                    })
+                else {
                     return Ok(k); // all buffers empty and all done
                 };
-                let row = self.bufs[b].pop_front().expect("chosen buffer non-empty");
-                if self.dedup && self.last.as_ref() == Some(&row) {
-                    continue; // cross-shard duplicate under DISTINCT
-                }
+                let mut row = self.bufs[b].row(self.heads[b]);
+                self.heads[b] += 1;
                 if self.dedup {
+                    if self.last.as_ref() == Some(&row) {
+                        continue; // cross-shard duplicate under DISTINCT
+                    }
                     self.last = Some(row.clone());
                 }
-                let mut row = row;
-                if self.strip > 0 {
-                    row.truncate(row.len() - self.strip);
-                }
-                out.push(row);
+                row.truncate(row.len() - self.strip);
+                out.push_row(row);
                 k += 1;
             }
             if k > 0 {
@@ -293,7 +227,7 @@ impl MergeState {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let buffered: usize = self.bufs.iter().map(VecDeque::len).sum();
+        let buffered: usize = (0..self.children.len()).map(|i| self.buffered(i)).sum();
         let mut lo = buffered;
         let mut hi = Some(buffered);
         for (i, c) in self.children.iter().enumerate() {
@@ -324,21 +258,13 @@ struct ArmedPrefetch {
     retry: RetryPolicy,
 }
 
-/// The cursor a source hands back for a query. Pull rows with
-/// [`Cursor::next`]; each delivered row bumps the source's
-/// `tuples_shipped` counter (a row never pulled is never counted — the
+/// The cursor a source hands back for a query. Pull column blocks with
+/// [`Cursor::next_cblock`]; each delivered row bumps the source's
+/// `TuplesShipped` counter (a row never pulled is never counted — the
 /// measurable benefit of navigation-driven evaluation).
 pub struct Cursor {
     backing: Backing,
     armed: Option<ArmedPrefetch>,
-    /// Rows already received from the prefetcher but not yet handed
-    /// out — only populated when [`Cursor::next`] is used on a cursor
-    /// whose prefetcher delivers whole blocks.
-    stash: VecDeque<Row>,
-    /// Row buffer for operators without a native columnar path (the
-    /// default [`RowIter::next_cblock`] routes through it); reused
-    /// across pulls so the fallback costs no per-block allocation.
-    scratch: Vec<Row>,
     stats: Stats,
     tracer: TracerHandle,
     arity: usize,
@@ -358,8 +284,6 @@ impl Cursor {
         Cursor {
             backing: Backing::Sync { iter, chaos },
             armed: None,
-            stash: VecDeque::new(),
-            scratch: Vec::new(),
             stats,
             tracer,
             arity,
@@ -389,7 +313,11 @@ impl Cursor {
         let n = children.len();
         Cursor {
             backing: Backing::Merge(MergeState {
-                bufs: (0..n).map(|_| VecDeque::new()).collect(),
+                bufs: children
+                    .iter()
+                    .map(|c| ColumnBlock::new(c.arity()))
+                    .collect(),
+                heads: vec![0; n],
                 done: vec![false; n],
                 children,
                 keys,
@@ -398,25 +326,12 @@ impl Cursor {
                 last: None,
             }),
             armed: None,
-            stash: VecDeque::new(),
-            scratch: Vec::new(),
             stats,
             tracer,
             arity,
             delivered: 0,
             retries: 0,
         }
-    }
-
-    /// Pull merged rows from a [`Backing::Merge`] cursor, updating only
-    /// `delivered` (the children already accounted the shipped rows).
-    fn merge_block(&mut self, out: &mut Vec<Row>, n: usize) -> Result<usize> {
-        let Backing::Merge(m) = &mut self.backing else {
-            unreachable!()
-        };
-        let k = m.pull(out, n)?;
-        self.delivered += k as u64;
-        Ok(k)
     }
 
     /// Arm pipelined prefetch on this cursor: once the first block has
@@ -506,63 +421,6 @@ impl Cursor {
         }
     }
 
-    /// Fetch the next row, if any.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<Row>> {
-        if let Some(row) = self.stash.pop_front() {
-            // Accounted already, when its block was received.
-            return Ok(Some(row));
-        }
-        if let Backing::Latched(e) = &self.backing {
-            return Err(e.clone());
-        }
-        if matches!(self.backing, Backing::Live(_)) {
-            let mut buf = Vec::new();
-            if self.recv_block(&mut buf)? == 0 {
-                return Ok(None);
-            }
-            self.stash.extend(buf);
-            return Ok(self.stash.pop_front());
-        }
-        if matches!(self.backing, Backing::Merge(_)) {
-            let mut buf = Vec::new();
-            if self.merge_block(&mut buf, 1)? == 0 {
-                return Ok(None);
-            }
-            self.stash.extend(buf);
-            return Ok(self.stash.pop_front());
-        }
-        // Row-at-a-time consumers do not follow a block ramp; dropping
-        // an armed (but unstarted) prefetcher keeps them synchronous
-        // rather than replaying a schedule they will not follow.
-        self.armed = None;
-        let Backing::Sync { iter, chaos } = &mut self.backing else {
-            return Ok(None); // Done
-        };
-        let row = match chaos {
-            None => iter.next_row()?,
-            Some(state) => {
-                let (_, latency_ms) = state.admit(1)?;
-                let r = iter.next_row()?;
-                if r.is_some() {
-                    state.delivered(1);
-                }
-                sleep_ms(latency_ms);
-                r
-            }
-        };
-        let Some(row) = row else {
-            return Ok(None);
-        };
-        self.delivered += 1;
-        self.stats.inc(Counter::TuplesShipped);
-        if self.tracer.enabled() {
-            self.tracer
-                .event("row", &[("n", self.delivered.to_string())]);
-        }
-        Ok(Some(row))
-    }
-
     /// Number of columns each row carries.
     pub fn arity(&self) -> usize {
         self.arity
@@ -574,105 +432,40 @@ impl Cursor {
     }
 
     /// Retries spent by this cursor so far (across all
-    /// [`Cursor::next_block_retrying`] calls) — `EXPLAIN ANALYZE`
+    /// [`Cursor::next_cblock_retrying`] calls) — `EXPLAIN ANALYZE`
     /// attributes these to the `rQ` node holding the cursor.
     pub fn retries(&self) -> u64 {
         self.retries
     }
 
-    /// Fetch up to `n` rows into `out`, bumping `tuples_shipped` once
-    /// per block (and recording the block size — see
-    /// [`mix_obs::Stats::record_block`]). Returns the number of rows
-    /// appended; `0` means the cursor is exhausted. On `Err`, nothing
-    /// was appended and nothing was counted — a failed pull is
-    /// side-effect-free, so a retried block is accounted exactly once.
+    /// Fetch up to `n` rows appended to the column vectors of `out`,
+    /// bumping `TuplesShipped` and `BlocksShipped` once per block (and
+    /// recording the block size — see [`mix_obs::Stats::record_block`]);
+    /// [`Counter::BlockBytes`] and [`Counter::InternHits`] size what
+    /// crossed the seam. Returns the number of rows appended; `0` means
+    /// the cursor is exhausted. On `Err`, nothing was appended and
+    /// nothing was counted — a failed pull is side-effect-free, so a
+    /// retried block is accounted exactly once. The hot drain path never
+    /// boxes a cell: scans copy straight from the table's column block.
     ///
     /// On a prefetching cursor the blocks arrive pre-sized by the ramp
     /// the prefetcher replays; `n` is then advisory (a consumer that
     /// follows the ramp it registered sees identical sizes either way).
-    pub fn next_block(&mut self, out: &mut Vec<Row>, n: usize) -> Result<usize> {
-        if n == 0 {
-            return Ok(0);
-        }
-        if !self.stash.is_empty() {
-            let k = n.min(self.stash.len());
-            out.extend(self.stash.drain(..k));
-            return Ok(k);
-        }
-        if let Backing::Latched(e) = &self.backing {
-            return Err(e.clone());
-        }
-        if matches!(self.backing, Backing::Done) {
-            return Ok(0);
-        }
-        if matches!(self.backing, Backing::Live(_)) {
-            return self.recv_block(out);
-        }
-        if matches!(self.backing, Backing::Merge(_)) {
-            return self.merge_block(out, n);
-        }
-        let Backing::Sync { iter, chaos } = &mut self.backing else {
-            unreachable!()
-        };
-        let (k, latency_ms) = gated_pull(&mut **iter, chaos, out, n)?;
-        sleep_ms(latency_ms);
-        if k == 0 {
-            self.armed = None; // exhausted: nothing to speculate on
-            return Ok(0);
-        }
-        self.account_block(k, 0, 0);
-        // The first demanded pull just completed synchronously; if
-        // prefetch is armed, speculation may begin now. The armed ramp
-        // mirrors the consumer's, so advance it past the size this pull
-        // consumed before handing it to the thread.
-        if let Some(mut armed) = self.armed.take() {
-            armed.ramp.next_size();
-            self.start_prefetch(armed);
-        }
-        Ok(k)
-    }
-
-    /// [`Cursor::next_block`], columnar: fetch up to `n` rows appended
-    /// to the column vectors of `out`. All accounting — `TuplesShipped`,
-    /// `BlocksShipped`, per-row trace events, the prefetch arm/ramp
-    /// handshake — is bit-for-bit the row path's; additionally
-    /// [`Counter::BlockBytes`] and [`Counter::InternHits`] size what
-    /// crossed the seam. The hot drain path therefore never boxes a
-    /// cell: scans copy straight from the table's columnar mirror.
     pub fn next_cblock(&mut self, out: &mut ColumnBlock, n: usize) -> Result<usize> {
         if n == 0 {
             return Ok(0);
         }
-        if !self.stash.is_empty() {
-            let k = n.min(self.stash.len());
-            out.reserve(k);
-            for row in self.stash.drain(..k) {
-                out.push_row(row);
+        let (iter, chaos) = match &mut self.backing {
+            Backing::Latched(e) => return Err(e.clone()),
+            Backing::Done => return Ok(0),
+            Backing::Live(_) => return self.recv_cblock(out),
+            Backing::Merge(m) => {
+                // The children already accounted the shipped rows.
+                let k = m.pull(out, n)?;
+                self.delivered += k as u64;
+                return Ok(k);
             }
-            return Ok(k);
-        }
-        if let Backing::Latched(e) = &self.backing {
-            return Err(e.clone());
-        }
-        if matches!(self.backing, Backing::Done) {
-            return Ok(0);
-        }
-        if matches!(self.backing, Backing::Live(_)) {
-            return self.recv_cblock(out);
-        }
-        if matches!(self.backing, Backing::Merge(_)) {
-            let mut buf = std::mem::take(&mut self.scratch);
-            buf.clear();
-            let k = self.merge_block(&mut buf, n)?;
-            out.reserve(k);
-            for r in buf.drain(..) {
-                out.push_row(r);
-            }
-            self.scratch = buf;
-            return Ok(k);
-        }
-        let Backing::Sync { iter, chaos } = &mut self.backing else {
-            unreachable!()
+            Backing::Sync { iter, chaos } => (iter, chaos),
         };
         // `out` may carry earlier rows; meter only this pull's delta.
         let (pre_bytes, pre_shared) = if out.is_empty() {
@@ -680,10 +473,10 @@ impl Cursor {
         } else {
             (out.byte_size(), out.shared_str_cells())
         };
-        let (k, latency_ms) = gated_cpull(&mut **iter, chaos, out, n, &mut self.scratch)?;
+        let (k, latency_ms) = gated_cpull(&mut **iter, chaos, out, n)?;
         sleep_ms(latency_ms);
         if k == 0 {
-            self.armed = None;
+            self.armed = None; // exhausted: nothing to speculate on
             return Ok(0);
         }
         self.account_block(
@@ -691,6 +484,10 @@ impl Cursor {
             out.byte_size().saturating_sub(pre_bytes),
             out.shared_str_cells().saturating_sub(pre_shared),
         );
+        // The first demanded pull just completed synchronously; if
+        // prefetch is armed, speculation may begin now. The armed ramp
+        // mirrors the consumer's, so advance it past the size this pull
+        // consumed before handing it to the job.
         if let Some(mut armed) = self.armed.take() {
             armed.ramp.next_size();
             self.start_prefetch(armed);
@@ -698,11 +495,11 @@ impl Cursor {
         Ok(k)
     }
 
-    /// Per-block delivery accounting, shared by every pull path:
-    /// `delivered`, `TuplesShipped`, `BlocksShipped` (+ block-size
-    /// histogram), columnar footprint counters, and the same per-row
-    /// trace events as the tuple-at-a-time path (so traced output is
-    /// independent of block size *and* representation).
+    /// Per-block delivery accounting, shared by the synchronous and
+    /// prefetched paths: `delivered`, `TuplesShipped`, `BlocksShipped`
+    /// (+ block-size histogram), block footprint counters, and one
+    /// `row` trace event per delivered row (so traced output is
+    /// independent of block size).
     fn account_block(&mut self, k: usize, block_bytes: u64, shared_strs: u64) {
         self.delivered += k as u64;
         self.stats.add(Counter::TuplesShipped, k as u64);
@@ -785,20 +582,8 @@ impl Cursor {
         }
     }
 
-    /// Row-compat view over the prefetcher's columnar blocks.
-    fn recv_block(&mut self, out: &mut Vec<Row>) -> Result<usize> {
-        let Some(block) = self.recv_fetched()? else {
-            return Ok(0);
-        };
-        let k = block.cols.len();
-        self.account_block(k, block.cols.byte_size(), block.cols.shared_str_cells());
-        block.cols.append_rows_to(out);
-        Ok(k)
-    }
-
-    /// Columnar receive: an empty `out` adopts the shipped block
-    /// wholesale (a move, no copy); otherwise the block is appended
-    /// column-at-a-time.
+    /// Receive one shipped block: an empty `out` adopts it wholesale (a
+    /// move, no copy); otherwise it is appended column-at-a-time.
     fn recv_cblock(&mut self, out: &mut ColumnBlock) -> Result<usize> {
         let Some(block) = self.recv_fetched()? else {
             return Ok(0);
@@ -835,7 +620,7 @@ impl Cursor {
         }
     }
 
-    /// [`Cursor::next_block`] with transient faults retried under
+    /// [`Cursor::next_cblock`] with transient faults retried under
     /// `retry`: bounded attempts, exponential backoff, optional
     /// wall-clock deadline. Because a failed pull delivers nothing, the
     /// re-issued pull returns exactly the rows the failed one would
@@ -845,27 +630,6 @@ impl Cursor {
     /// ([`Counter::BackendErrors`]); the escaped error's `retries` field
     /// records the spent budget. Traced sessions see a `fault` event per
     /// observed failure and a `retry` event per re-issue.
-    pub fn next_block_retrying(
-        &mut self,
-        out: &mut Vec<Row>,
-        n: usize,
-        retry: &RetryPolicy,
-    ) -> Result<usize> {
-        if !matches!(self.backing, Backing::Sync { .. } | Backing::Merge(_)) {
-            // Prefetched blocks arrive pre-retried (the thread runs
-            // this same loop); an error surfacing here already spent
-            // its budget and is terminal. Merge pulls *do* retry: a
-            // failed refill is side-effect-free, and the re-issued pull
-            // only re-pulls the shard that failed.
-            return self.next_block(out, n);
-        }
-        self.retry_loop(retry, |c| c.next_block(out, n))
-    }
-
-    /// [`Cursor::next_cblock`] with transient faults retried under
-    /// `retry` — the columnar twin of [`Cursor::next_block_retrying`],
-    /// running the identical retry loop (and so the identical counters
-    /// and trace events).
     pub fn next_cblock_retrying(
         &mut self,
         out: &mut ColumnBlock,
@@ -873,24 +637,17 @@ impl Cursor {
         retry: &RetryPolicy,
     ) -> Result<usize> {
         if !matches!(self.backing, Backing::Sync { .. } | Backing::Merge(_)) {
+            // Prefetched blocks arrive pre-retried (the job runs this
+            // same loop); an error surfacing here already spent its
+            // budget and is terminal. Merge pulls *do* retry: a failed
+            // refill is side-effect-free, and the re-issued pull only
+            // re-pulls the shard that failed.
             return self.next_cblock(out, n);
         }
-        self.retry_loop(retry, |c| c.next_cblock(out, n))
-    }
-
-    /// The one retry loop both block representations share: bounded
-    /// attempts, exponential backoff, optional wall-clock deadline,
-    /// `fault`/`retry` trace events, and the escaped error's `retries`
-    /// field recording the spent budget.
-    fn retry_loop(
-        &mut self,
-        retry: &RetryPolicy,
-        mut pull: impl FnMut(&mut Cursor) -> Result<usize>,
-    ) -> Result<usize> {
         let mut attempt = 0u32;
         let mut spent_backoff = 0u64;
         loop {
-            let e = match pull(self) {
+            let e = match self.next_cblock(out, n) {
                 Ok(k) => return Ok(k),
                 Err(e) => e,
             };
@@ -936,7 +693,6 @@ impl Cursor {
 
     /// `(lower, upper)` bounds on the rows still to come.
     pub fn size_hint(&self) -> (usize, Option<usize>) {
-        let stashed = self.stash.len();
         match &self.backing {
             Backing::Sync { iter, chaos } => {
                 let (lo, hi) = iter.size_hint();
@@ -946,40 +702,34 @@ impl Cursor {
                     None => (lo, hi),
                 }
             }
-            Backing::Live(_) => (stashed, None),
-            Backing::Latched(_) | Backing::Done => (stashed, Some(stashed)),
-            Backing::Merge(m) => {
-                let (lo, hi) = m.size_hint();
-                (lo + stashed, hi.map(|h| h + stashed))
-            }
+            Backing::Live(_) => (0, None),
+            Backing::Latched(_) | Backing::Done => (0, Some(0)),
+            Backing::Merge(m) => m.size_hint(),
         }
     }
 
-    /// Drain the remainder into `out` (block at a time); returns the
-    /// number of rows appended.
-    pub fn drain(&mut self, out: &mut Vec<Row>) -> Result<usize> {
-        self.drain_retrying(out, &RetryPolicy::none())
-    }
-
-    /// [`Cursor::drain`] with transient faults retried under `retry`.
+    /// Drain the remainder into `out` as boxed rows (block at a time,
+    /// transient faults retried under `retry`); returns the number of
+    /// rows appended. The row-shaped convenience for eager collection.
     pub fn drain_retrying(&mut self, out: &mut Vec<Row>, retry: &RetryPolicy) -> Result<usize> {
-        let (lo, _) = self.size_hint();
-        out.reserve(lo);
+        out.reserve(self.size_hint().0);
+        let mut block = ColumnBlock::new(self.arity);
         let mut total = 0;
         loop {
-            let k = self.next_block_retrying(out, DRAIN_BLOCK, retry)?;
+            block.clear();
+            let k = self.next_cblock_retrying(&mut block, DRAIN_BLOCK, retry)?;
             if k == 0 {
-                break;
+                return Ok(total);
             }
+            block.append_rows_to(out);
             total += k;
         }
-        Ok(total)
     }
 
     /// Drain the remainder into a vector (the *eager* access pattern).
     pub fn collect_all(mut self) -> Result<Vec<Row>> {
         let mut out = Vec::new();
-        self.drain(&mut out)?;
+        self.drain_retrying(&mut out, &RetryPolicy::none())?;
         Ok(out)
     }
 }
@@ -1006,30 +756,30 @@ fn compile(plan: &PhysPlan, stats: &Stats) -> Box<dyn RowIter> {
             right_arity: right.arity(),
             left: compile(left, stats),
             right: Some(compile(right, stats)),
+            build: ColumnBlock::new(0),
             table: HashMap::new(),
-            cbuild: None,
-            ctable: HashMap::new(),
             lidx: Vec::new(),
             ridx: Vec::new(),
             left_key: *left_key,
             right_key: *right_key,
-            post: post.clone(),
-            pending: Vec::new(),
+            post: Filter::new(post.clone(), plan.arity()),
         }),
         PhysPlan::NlJoin { left, right, post } => Box::new(NlJoinIter {
+            lbuf: ColumnBlock::new(left.arity()),
+            lpos: 0,
+            right_arity: right.arity(),
             left: compile(left, stats),
             right_src: Some(compile(right, stats)),
-            right_rows: Vec::new(),
-            cur_left: None,
-            right_idx: 0,
-            post: post.clone(),
+            right: ColumnBlock::new(0),
+            lidx: Vec::new(),
+            ridx: Vec::new(),
+            post: Filter::new(post.clone(), plan.arity()),
         }),
         PhysPlan::Sort { input, keys } => Box::new(SortIter {
             arity: input.arity(),
             input: Some(compile(input, stats)),
             keys: keys.clone(),
-            sorted: Vec::new(),
-            cols: None,
+            cols: ColumnBlock::new(0),
             perm: Vec::new(),
             idx: 0,
         }),
@@ -1039,6 +789,7 @@ fn compile(plan: &PhysPlan, stats: &Stats) -> Box<dyn RowIter> {
             distinct,
         } => Box::new(ProjectIter {
             cbuf: ColumnBlock::new(input.arity()),
+            pbuf: ColumnBlock::new(cols.len()),
             input: compile(input, stats),
             cols: cols.clone(),
             seen: if *distinct {
@@ -1046,7 +797,7 @@ fn compile(plan: &PhysPlan, stats: &Stats) -> Box<dyn RowIter> {
             } else {
                 None
             },
-            buf: Vec::new(),
+            sel: Vec::new(),
         }),
     }
 }
@@ -1092,50 +843,13 @@ fn pred_mask(
 }
 
 impl RowIter for ScanIter {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        while self.idx < self.table.len() {
-            let row = &self.table.rows()[self.idx];
-            self.idx += 1;
-            self.stats.inc(Counter::RowsScanned);
-            if self.preds.iter().all(|p| p.eval(row)) {
-                return Ok(Some(row.clone()));
-            }
-        }
-        Ok(None)
-    }
-
-    fn next_block(&mut self, out: &mut Vec<Row>, n: usize) -> Result<usize> {
-        let rows = self.table.rows();
-        let mut k = 0;
-        let mut scanned = 0;
-        while k < n && self.idx < rows.len() {
-            let row = &rows[self.idx];
-            self.idx += 1;
-            scanned += 1;
-            if self.preds.iter().all(|p| p.eval(row)) {
-                out.push(row.clone());
-                k += 1;
-            }
-        }
-        if scanned > 0 {
-            self.stats.add(Counter::RowsScanned, scanned);
-        }
-        Ok(k)
-    }
-
-    /// The native columnar scan: bulk column-slice copies from the
-    /// table's mirror when unfiltered; otherwise chunked vectorized
-    /// predicate masks with a gather of the selected rows. `RowsScanned`
-    /// counts exactly the rows *consumed* — up to and including the
-    /// n-th match, as the row path does — even though a kernel may have
-    /// evaluated a few cells past it within the final chunk.
-    fn next_cblock(
-        &mut self,
-        out: &mut ColumnBlock,
-        n: usize,
-        _scratch: &mut Vec<Row>,
-    ) -> Result<usize> {
-        let cols = self.table.columnar();
+    /// Bulk column-slice copies from the table's block when unfiltered;
+    /// otherwise chunked vectorized predicate masks with a gather of the
+    /// selected rows. `RowsScanned` counts exactly the rows *consumed* —
+    /// up to and including the n-th match — even though a kernel may
+    /// have evaluated a few cells past it within the final chunk.
+    fn next_cblock(&mut self, out: &mut ColumnBlock, n: usize) -> Result<usize> {
+        let cols = self.table.block();
         let total = cols.len();
         if n == 0 || self.idx >= total {
             return Ok(0);
@@ -1192,222 +906,187 @@ impl RowIter for ScanIter {
     }
 }
 
+/// A join's post-join predicates, evaluated as one vectorized mask over
+/// each staged block of joined rows.
+struct Filter {
+    preds: Vec<RPred>,
+    /// Joined rows before filtering (unused when `preds` is empty: the
+    /// join then appends straight to its output).
+    staged: ColumnBlock,
+    mask: Vec<bool>,
+    mask_tmp: Vec<bool>,
+    sel: Vec<usize>,
+}
+
+impl Filter {
+    fn new(preds: Vec<RPred>, arity: usize) -> Filter {
+        Filter {
+            preds,
+            staged: ColumnBlock::new(arity),
+            mask: Vec::new(),
+            mask_tmp: Vec::new(),
+            sel: Vec::new(),
+        }
+    }
+
+    /// Append the joined rows `left[lidx[k]] ++ right[ridx[k]]` that
+    /// pass every predicate to `out`; returns how many did.
+    fn join_into(
+        &mut self,
+        left: &ColumnBlock,
+        lidx: &[usize],
+        right: &ColumnBlock,
+        ridx: &[usize],
+        out: &mut ColumnBlock,
+    ) -> usize {
+        if self.preds.is_empty() {
+            out.reserve(lidx.len());
+            left.append_join(lidx, right, ridx, out);
+            return lidx.len();
+        }
+        self.staged.clear();
+        left.append_join(lidx, right, ridx, &mut self.staged);
+        pred_mask(
+            &self.staged,
+            &self.preds,
+            0,
+            self.staged.len(),
+            &mut self.mask,
+            &mut self.mask_tmp,
+        );
+        self.sel.clear();
+        self.sel
+            .extend((0..self.mask.len()).filter(|&r| self.mask[r]));
+        self.staged.gather_rows(&self.sel, out);
+        self.sel.len()
+    }
+}
+
 /// Streams the left input; builds a hash table over the (fully drained)
 /// right input on first pull. The pipeline therefore stays lazy in its
-/// *driver* (left) input.
+/// *driver* (left) input. Probe output is a pure column gather
+/// ([`ColumnBlock::append_join`]) — no per-row tuple is built.
 struct HashJoinIter {
     left: Box<dyn RowIter>,
     right: Option<Box<dyn RowIter>>,
-    table: HashMap<Value, Vec<Row>>,
-    /// Columnar build side: the right input as one block plus bucket
-    /// row indices. Built instead of `table` when the *first* pull is
-    /// columnar; probe output is then a pure column gather
-    /// ([`ColumnBlock::append_join`]) — no per-row tuple is built.
-    cbuild: Option<ColumnBlock>,
-    ctable: HashMap<Value, Vec<usize>>,
     right_arity: usize,
+    /// The right input as one block, plus bucket row indices into it.
+    build: ColumnBlock,
+    table: HashMap<Value, Vec<usize>>,
     /// Left probe staging block plus the match selection vectors
-    /// (`lidx[k]`/`ridx[k]` = the k-th output row's sources).
+    /// (`lidx[k]`/`ridx[k]` = the k-th joined row's sources).
     lbuf: ColumnBlock,
     lidx: Vec<usize>,
     ridx: Vec<usize>,
     left_key: usize,
     right_key: usize,
-    post: Vec<RPred>,
-    pending: Vec<Row>,
+    post: Filter,
 }
 
 impl RowIter for HashJoinIter {
-    fn next_row(&mut self) -> Result<Option<Row>> {
+    /// Joins one probe block of `n` left rows per call (so a pull may
+    /// return more than `n` rows); probe blocks without a surviving
+    /// match are skipped.
+    fn next_cblock(&mut self, out: &mut ColumnBlock, n: usize) -> Result<usize> {
         if let Some(mut right) = self.right.take() {
-            let mut build = Vec::new();
-            drain_all(&mut *right, &mut build)?;
-            for r in build {
-                let k = r[self.right_key].clone();
+            self.build = materialize(&mut *right, self.right_arity)?;
+            for r in 0..self.build.len() {
+                let k = self.build.value_at(r, self.right_key);
                 if !k.is_null() {
                     self.table.entry(k).or_default().push(r);
                 }
             }
         }
         loop {
-            if let Some(row) = self.pending.pop() {
-                return Ok(Some(row));
-            }
-            let Some(l) = self.left.next_row()? else {
-                return Ok(None);
-            };
-            // Matches are staged in reverse so `pending.pop` replays
-            // them in build-arrival order.
-            if let Some(build) = &self.cbuild {
-                // The build side was materialized columnar first; read
-                // build rows out of the block.
-                if let Some(matches) = self.ctable.get(&l[self.left_key]) {
-                    for &m in matches.iter().rev() {
-                        let mut row = l.clone();
-                        row.extend((0..build.arity()).map(|c| build.value_at(m, c)));
-                        if self.post.iter().all(|p| p.eval(&row)) {
-                            self.pending.push(row);
-                        }
-                    }
-                }
-            } else if let Some(matches) = self.table.get(&l[self.left_key]) {
-                for m in matches.iter().rev() {
-                    let mut row = l.clone();
-                    row.extend(m.iter().cloned());
-                    if self.post.iter().all(|p| p.eval(&row)) {
-                        self.pending.push(row);
-                    }
-                }
-            }
-        }
-    }
-
-    fn next_cblock(
-        &mut self,
-        out: &mut ColumnBlock,
-        n: usize,
-        scratch: &mut Vec<Row>,
-    ) -> Result<usize> {
-        // Post predicates evaluate row-wise; and once the build side is
-        // row-shaped (a row pull came first), stay on the row route.
-        if !self.post.is_empty() || (self.cbuild.is_none() && self.right.is_none()) {
-            scratch.clear();
-            let k = self.next_block(scratch, n)?;
-            out.reserve(k);
-            for r in scratch.drain(..) {
-                out.push_row(r);
-            }
-            return Ok(k);
-        }
-        if self.cbuild.is_none() {
-            let mut right = self
-                .right
-                .take()
-                .expect("row route taken when right is gone");
-            let mut build = ColumnBlock::new(self.right_arity);
-            let (lo, _) = right.size_hint();
-            build.reserve(lo);
-            while right.next_cblock(&mut build, DRAIN_BLOCK, scratch)? > 0 {}
-            for r in 0..build.len() {
-                let k = build.value_at(r, self.right_key);
-                if !k.is_null() {
-                    self.ctable.entry(k).or_default().push(r);
-                }
-            }
-            self.cbuild = Some(build);
-        }
-        loop {
             self.lbuf.clear();
-            let got = self.left.next_cblock(&mut self.lbuf, n, scratch)?;
+            let got = self.left.next_cblock(&mut self.lbuf, n)?;
             if got == 0 {
                 return Ok(0);
             }
             self.lidx.clear();
             self.ridx.clear();
             for i in 0..got {
-                if let Some(matches) = self.ctable.get(&self.lbuf.value_at(i, self.left_key)) {
+                if let Some(matches) = self.table.get(&self.lbuf.value_at(i, self.left_key)) {
                     for &m in matches {
                         self.lidx.push(i);
                         self.ridx.push(m);
                     }
                 }
             }
-            if self.lidx.is_empty() {
-                continue; // no match in this probe block; keep pulling
+            let k = self
+                .post
+                .join_into(&self.lbuf, &self.lidx, &self.build, &self.ridx, out);
+            if k > 0 {
+                return Ok(k);
             }
-            out.reserve(self.lidx.len());
-            let build = self.cbuild.as_ref().expect("built above");
-            self.lbuf.append_join(&self.lidx, build, &self.ridx, out);
-            return Ok(self.lidx.len());
         }
     }
 }
 
+/// Nested-loop join (the fallback for theta joins): streams the left
+/// input against the fully drained right input, one left row at a time
+/// — each left row's joined rows are filtered as one block.
 struct NlJoinIter {
     left: Box<dyn RowIter>,
     right_src: Option<Box<dyn RowIter>>,
-    right_rows: Vec<Row>,
-    cur_left: Option<Row>,
-    right_idx: usize,
-    post: Vec<RPred>,
+    right_arity: usize,
+    right: ColumnBlock,
+    /// The current left block and the next unjoined row in it.
+    lbuf: ColumnBlock,
+    lpos: usize,
+    lidx: Vec<usize>,
+    ridx: Vec<usize>,
+    post: Filter,
 }
 
 impl RowIter for NlJoinIter {
-    fn next_row(&mut self) -> Result<Option<Row>> {
+    /// Returns the surviving joined rows of left rows taken one at a
+    /// time until at least one survives (so a pull may return more than
+    /// `n` rows); a new left block of `n` rows is pulled when the
+    /// current one is used up.
+    fn next_cblock(&mut self, out: &mut ColumnBlock, n: usize) -> Result<usize> {
         if let Some(mut src) = self.right_src.take() {
-            drain_all(&mut *src, &mut self.right_rows)?;
+            self.right = materialize(&mut *src, self.right_arity)?;
+            self.ridx = (0..self.right.len()).collect();
         }
         loop {
-            if self.cur_left.is_none() {
-                let Some(l) = self.left.next_row()? else {
-                    return Ok(None);
-                };
-                self.cur_left = Some(l);
-                self.right_idx = 0;
-            }
-            let l = self.cur_left.as_ref().unwrap();
-            while self.right_idx < self.right_rows.len() {
-                let r = &self.right_rows[self.right_idx];
-                self.right_idx += 1;
-                let mut row = l.clone();
-                row.extend(r.iter().cloned());
-                if self.post.iter().all(|p| p.eval(&row)) {
-                    return Ok(Some(row));
+            if self.lpos == self.lbuf.len() {
+                self.lbuf.clear();
+                self.lpos = 0;
+                if self.left.next_cblock(&mut self.lbuf, n)? == 0 {
+                    return Ok(0);
                 }
             }
-            self.cur_left = None;
+            self.lidx.clear();
+            self.lidx.resize(self.right.len(), self.lpos);
+            self.lpos += 1;
+            let k = self
+                .post
+                .join_into(&self.lbuf, &self.lidx, &self.right, &self.ridx, out);
+            if k > 0 {
+                return Ok(k);
+            }
         }
     }
 }
 
-/// Blocking sort (the one non-pipelined node; `ORDER BY` requires it).
-///
-/// The *first* pull picks the materialization: a row pull drains the
-/// input into `sorted` and sorts the rows (the pre-columnar path,
-/// byte-for-byte); a columnar pull drains the input into a
-/// [`ColumnBlock`] and stable-sorts a row *permutation* instead — no
-/// row tuple is ever allocated. Either storage serves both pull shapes
-/// afterwards, so mixed consumers stay coherent.
+/// Blocking sort (the one non-pipelined node; `ORDER BY` requires it):
+/// the first pull drains the input into one block and stable-sorts a
+/// row *permutation* — no row tuple is ever allocated.
 struct SortIter {
     input: Option<Box<dyn RowIter>>,
     keys: Vec<usize>,
     arity: usize,
-    sorted: Vec<Row>,
-    cols: Option<ColumnBlock>,
-    /// Sorted row order of `cols` (identity when `cols` was transposed
-    /// from the already-sorted `sorted`).
+    cols: ColumnBlock,
+    /// Sorted row order of `cols`.
     perm: Vec<usize>,
     idx: usize,
 }
 
-impl SortIter {
-    /// Row-mode materialization: drain and sort rows.
-    fn force_rows(&mut self) -> Result<()> {
+impl RowIter for SortIter {
+    fn next_cblock(&mut self, out: &mut ColumnBlock, n: usize) -> Result<usize> {
         if let Some(mut input) = self.input.take() {
-            drain_all(&mut *input, &mut self.sorted)?;
-            let keys = self.keys.clone();
-            self.sorted.sort_by(|a, b| {
-                for &k in &keys {
-                    let o = a[k].total_cmp(&b[k]);
-                    if o != std::cmp::Ordering::Equal {
-                        return o;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
-        Ok(())
-    }
-
-    /// Columnar materialization: drain into a block, sort a
-    /// permutation. The stable index sort over key cells yields exactly
-    /// the row-mode stable sort order.
-    fn force_cols(&mut self, scratch: &mut Vec<Row>) -> Result<()> {
-        if let Some(mut input) = self.input.take() {
-            let mut block = ColumnBlock::new(self.arity);
-            let (lo, _) = input.size_hint();
-            block.reserve(lo);
-            while input.next_cblock(&mut block, DRAIN_BLOCK, scratch)? > 0 {}
+            let block = materialize(&mut *input, self.arity)?;
             let mut perm: Vec<usize> = (0..block.len()).collect();
             perm.sort_by(|&a, &b| {
                 for &k in &self.keys {
@@ -1419,79 +1098,12 @@ impl SortIter {
                 std::cmp::Ordering::Equal
             });
             self.perm = perm;
-            self.cols = Some(block);
+            self.cols = block;
         }
-        Ok(())
-    }
-
-    /// Transpose row-mode storage into the columnar form (mixed-mode
-    /// seam; `sorted` is already in output order, so the permutation is
-    /// the identity).
-    fn transpose_sorted(&mut self) {
-        if self.cols.is_none() {
-            let mut block = ColumnBlock::new(self.arity);
-            block.reserve(self.sorted.len());
-            self.perm = (0..self.sorted.len()).collect();
-            for r in self.sorted.drain(..) {
-                block.push_row(r);
-            }
-            self.cols = Some(block);
-        }
-    }
-
-    fn remaining(&self) -> usize {
-        self.cols
-            .as_ref()
-            .map_or(self.sorted.len(), ColumnBlock::len)
-            - self.idx
-    }
-}
-
-impl RowIter for SortIter {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        self.force_rows()?;
-        if self.remaining() == 0 {
-            return Ok(None);
-        }
-        let r = match &self.cols {
-            Some(cols) => cols.row(self.perm[self.idx]),
-            None => self.sorted[self.idx].clone(),
-        };
-        self.idx += 1;
-        Ok(Some(r))
-    }
-
-    fn next_block(&mut self, out: &mut Vec<Row>, n: usize) -> Result<usize> {
-        self.force_rows()?;
-        let k = self.remaining().min(n);
-        let end = self.idx + k;
-        match &self.cols {
-            Some(cols) => {
-                out.reserve(k);
-                out.extend(self.perm[self.idx..end].iter().map(|&r| cols.row(r)));
-            }
-            None => out.extend_from_slice(&self.sorted[self.idx..end]),
-        }
-        self.idx = end;
-        Ok(k)
-    }
-
-    fn next_cblock(
-        &mut self,
-        out: &mut ColumnBlock,
-        n: usize,
-        scratch: &mut Vec<Row>,
-    ) -> Result<usize> {
-        if self.input.is_some() {
-            self.force_cols(scratch)?;
-        } else {
-            self.transpose_sorted();
-        }
-        let k = self.remaining().min(n);
+        let end = (self.idx + n).min(self.perm.len());
+        let k = end - self.idx;
         if k > 0 {
-            let end = self.idx + k;
-            let cols = self.cols.as_ref().expect("columnar storage forced above");
-            cols.gather_rows(&self.perm[self.idx..end], out);
+            self.cols.gather_rows(&self.perm[self.idx..end], out);
             self.idx = end;
         }
         Ok(k)
@@ -1501,7 +1113,7 @@ impl RowIter for SortIter {
         if self.input.is_some() {
             (0, None)
         } else {
-            let rem = self.remaining();
+            let rem = self.perm.len() - self.idx;
             (rem, Some(rem))
         }
     }
@@ -1510,80 +1122,49 @@ impl RowIter for SortIter {
 struct ProjectIter {
     input: Box<dyn RowIter>,
     cols: Vec<usize>,
+    /// DISTINCT state: every projected row delivered so far.
     seen: Option<HashSet<Row>>,
-    buf: Vec<Row>,
-    /// Columnar staging block at the *input's* arity: a columnar pull
-    /// lands the input block here, then projection is one bulk column
-    /// copy per output column.
+    /// Staging blocks at the input's and at the projected arity:
+    /// projection is one bulk column copy per output column.
     cbuf: ColumnBlock,
+    pbuf: ColumnBlock,
+    sel: Vec<usize>,
 }
 
 impl RowIter for ProjectIter {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        loop {
-            let Some(row) = self.input.next_row()? else {
-                return Ok(None);
-            };
-            let out: Row = self.cols.iter().map(|&c| row[c].clone()).collect();
-            match &mut self.seen {
-                None => return Ok(Some(out)),
-                Some(seen) => {
-                    if seen.insert(out.clone()) {
-                        return Ok(Some(out));
-                    }
+    fn next_cblock(&mut self, out: &mut ColumnBlock, n: usize) -> Result<usize> {
+        let Some(seen) = &mut self.seen else {
+            self.cbuf.clear();
+            let got = self.input.next_cblock(&mut self.cbuf, n)?;
+            if got > 0 {
+                out.reserve(got);
+                self.cbuf.append_projected(&self.cols, 0, got, out);
+            }
+            return Ok(got);
+        };
+        // DISTINCT drops rows: keep pulling, asking only for what is
+        // still missing, so a short block does not under-fill while the
+        // input has more.
+        let mut k = 0;
+        while k < n {
+            self.cbuf.clear();
+            let got = self.input.next_cblock(&mut self.cbuf, n - k)?;
+            if got == 0 {
+                break;
+            }
+            self.pbuf.clear();
+            self.cbuf
+                .append_projected(&self.cols, 0, got, &mut self.pbuf);
+            self.sel.clear();
+            for r in 0..got {
+                if seen.insert(self.pbuf.row(r)) {
+                    self.sel.push(r);
                 }
             }
+            self.pbuf.gather_rows(&self.sel, out);
+            k += self.sel.len();
         }
-    }
-
-    fn next_block(&mut self, out: &mut Vec<Row>, n: usize) -> Result<usize> {
-        if self.seen.is_some() {
-            // DISTINCT drops rows; fall back to the filtering loop so a
-            // short block does not under-fill when the input has more.
-            let mut k = 0;
-            while k < n {
-                match self.next_row()? {
-                    Some(r) => {
-                        out.push(r);
-                        k += 1;
-                    }
-                    None => break,
-                }
-            }
-            return Ok(k);
-        }
-        self.buf.clear();
-        let got = self.input.next_block(&mut self.buf, n)?;
-        out.reserve(got);
-        for row in self.buf.drain(..) {
-            out.push(self.cols.iter().map(|&c| row[c].clone()).collect());
-        }
-        Ok(got)
-    }
-
-    fn next_cblock(
-        &mut self,
-        out: &mut ColumnBlock,
-        n: usize,
-        scratch: &mut Vec<Row>,
-    ) -> Result<usize> {
-        if self.seen.is_some() {
-            // DISTINCT needs per-row dedup state; route through rows.
-            scratch.clear();
-            let k = self.next_block(scratch, n)?;
-            out.reserve(k);
-            for r in scratch.drain(..) {
-                out.push_row(r);
-            }
-            return Ok(k);
-        }
-        self.cbuf.clear();
-        let got = self.input.next_cblock(&mut self.cbuf, n, scratch)?;
-        if got > 0 {
-            out.reserve(got);
-            self.cbuf.append_projected(&self.cols, 0, got, out);
-        }
-        Ok(got)
+        Ok(k)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -1647,13 +1228,30 @@ mod tests {
         assert_eq!(rows.len(), 2 * 3);
     }
 
+    /// Pull `cur` dry in blocks of `n` rows; returns the rows and the
+    /// number of non-empty blocks.
+    fn pull_all(cur: &mut Cursor, n: usize) -> (Vec<Row>, u64) {
+        let mut block = ColumnBlock::new(cur.arity());
+        let mut rows = Vec::new();
+        let mut blocks = 0;
+        loop {
+            block.clear();
+            if cur.next_cblock(&mut block, n).unwrap() == 0 {
+                return (rows, blocks);
+            }
+            blocks += 1;
+            block.append_rows_to(&mut rows);
+        }
+    }
+
     #[test]
     fn lazy_cursor_ships_only_what_is_pulled() {
         let db = sample_db();
         let stats = db.stats().clone();
         stats.reset();
         let mut cur = db.execute_sql("SELECT * FROM orders").unwrap();
-        assert!(cur.next().unwrap().is_some());
+        let mut block = ColumnBlock::new(cur.arity());
+        assert_eq!(cur.next_cblock(&mut block, 1).unwrap(), 1);
         assert_eq!(stats.get(Counter::TuplesShipped), 1);
         // The scan may have looked at more rows internally, but only one
         // tuple crossed the source↔mediator boundary.
@@ -1662,19 +1260,19 @@ mod tests {
     }
 
     #[test]
-    fn next_block_ships_once_per_block() {
+    fn block_pull_ships_once_per_block() {
         let db = sample_db();
         let stats = db.stats().clone();
         stats.reset();
         let mut cur = db.execute_sql("SELECT * FROM orders").unwrap();
         assert_eq!(cur.size_hint(), (3, Some(3)));
-        let mut out = Vec::new();
-        assert_eq!(cur.next_block(&mut out, 2).unwrap(), 2);
+        let mut out = ColumnBlock::new(cur.arity());
+        assert_eq!(cur.next_cblock(&mut out, 2).unwrap(), 2);
         assert_eq!(stats.get(Counter::TuplesShipped), 2);
         assert_eq!(stats.get(Counter::BlocksShipped), 1);
         // Exhaustion: partial block, then zero.
-        assert_eq!(cur.next_block(&mut out, 2).unwrap(), 1);
-        assert_eq!(cur.next_block(&mut out, 2).unwrap(), 0);
+        assert_eq!(cur.next_cblock(&mut out, 2).unwrap(), 1);
+        assert_eq!(cur.next_cblock(&mut out, 2).unwrap(), 0);
         assert_eq!(out.len(), 3);
         assert_eq!(stats.get(Counter::TuplesShipped), 3);
         assert_eq!(stats.get(Counter::BlocksShipped), 2);
@@ -1682,87 +1280,74 @@ mod tests {
     }
 
     #[test]
-    fn block_and_row_pulls_agree() {
+    fn one_and_two_row_pulls_agree() {
         let db = sample_db();
-        let sql = "SELECT c.id, o.orid FROM customer c, orders o \
-                   WHERE c.id = o.cid ORDER BY o.orid";
-        let by_rows = db.execute_sql(sql).unwrap().collect_all().unwrap();
-        let mut by_blocks = Vec::new();
-        let mut cur = db.execute_sql(sql).unwrap();
-        while cur.next_block(&mut by_blocks, 2).unwrap() > 0 {}
-        assert_eq!(by_rows, by_blocks);
-        // DISTINCT (filtering projection) agrees too.
-        let sql = "SELECT DISTINCT c.id FROM customer c, orders o WHERE c.id = o.cid";
-        let by_rows = db.execute_sql(sql).unwrap().collect_all().unwrap();
-        let mut by_blocks = Vec::new();
-        let mut cur = db.execute_sql(sql).unwrap();
-        while cur.next_block(&mut by_blocks, 2).unwrap() > 0 {}
-        assert_eq!(by_rows, by_blocks);
+        for sql in [
+            "SELECT c.id, o.orid FROM customer c, orders o \
+             WHERE c.id = o.cid ORDER BY o.orid",
+            // DISTINCT (filtering projection) agrees too.
+            "SELECT DISTINCT c.id FROM customer c, orders o WHERE c.id = o.cid",
+            // A theta join: nested loops with a post-join predicate.
+            "SELECT c.id, o.orid FROM customer c, orders o WHERE o.cid > c.id",
+        ] {
+            let (by_ones, _) = pull_all(&mut db.execute_sql(sql).unwrap(), 1);
+            let (by_twos, _) = pull_all(&mut db.execute_sql(sql).unwrap(), 2);
+            assert_eq!(by_ones, by_twos, "{sql}");
+        }
     }
 
     #[test]
-    fn columnar_and_row_pulls_agree_exactly() {
+    fn block_pulls_ship_pinned_counts() {
+        // (sql, RowsScanned, TuplesShipped, BlocksShipped) for 2-row
+        // pulls. A scan consumes rows only up to the n-th match, so
+        // internal work is pinned along with what crossed the seam.
         let db = sample_db();
-        for sql in [
-            "SELECT * FROM orders",
-            "SELECT * FROM orders WHERE value > 2000",
-            "SELECT c.id, o.orid, o.value FROM customer c, orders o \
-             WHERE c.id = o.cid ORDER BY o.orid",
-            "SELECT DISTINCT c.id FROM customer c, orders o WHERE c.id = o.cid",
+        for (sql, scanned, shipped, blocks) in [
+            ("SELECT * FROM orders", 3, 3, 2),
+            ("SELECT * FROM orders WHERE value > 2000", 3, 2, 1),
+            (
+                "SELECT c.id, o.orid, o.value FROM customer c, orders o \
+                 WHERE c.id = o.cid ORDER BY o.orid",
+                5,
+                3,
+                2,
+            ),
+            (
+                "SELECT DISTINCT c.id FROM customer c, orders o WHERE c.id = o.cid",
+                5,
+                2,
+                1,
+            ),
         ] {
+            let expected = db.execute_sql(sql).unwrap().collect_all().unwrap();
             let stats = db.stats().clone();
             stats.reset();
-            let by_rows = db.execute_sql(sql).unwrap().collect_all().unwrap();
-            let row_scanned = stats.get(Counter::RowsScanned);
-            let row_shipped = stats.get(Counter::TuplesShipped);
-
-            stats.reset();
-            let mut cur = db.execute_sql(sql).unwrap();
-            let mut block = ColumnBlock::new(cur.arity());
-            let mut by_cols = Vec::new();
-            let mut blocks = 0;
-            loop {
-                block.clear();
-                if cur.next_cblock(&mut block, 2).unwrap() == 0 {
-                    break;
-                }
-                blocks += 1;
-                block.append_rows_to(&mut by_cols);
-            }
-            assert_eq!(by_rows, by_cols, "{sql}");
-            // The internal scan work and the shipped-tuple accounting
-            // are representation-independent.
-            assert_eq!(stats.get(Counter::RowsScanned), row_scanned, "{sql}");
-            assert_eq!(stats.get(Counter::TuplesShipped), row_shipped, "{sql}");
+            let (rows, pulled) = pull_all(&mut db.execute_sql(sql).unwrap(), 2);
+            assert_eq!(rows, expected, "{sql}");
+            assert_eq!(stats.get(Counter::RowsScanned), scanned, "{sql}");
+            assert_eq!(stats.get(Counter::TuplesShipped), shipped, "{sql}");
             assert_eq!(stats.get(Counter::BlocksShipped), blocks, "{sql}");
-            if !by_rows.is_empty() {
-                assert!(stats.get(Counter::BlockBytes) > 0, "{sql}");
-            }
+            assert_eq!(pulled, blocks, "{sql}");
+            assert!(stats.get(Counter::BlockBytes) > 0, "{sql}");
         }
     }
 
     #[test]
     fn vectorized_scan_stops_scanning_at_nth_match() {
         // 2 matching rows among 3; asking for exactly 1 must consume
-        // rows only up to the first match, like the row path.
+        // rows only up to the first match.
         let db = sample_db();
+        let sql = "SELECT * FROM orders WHERE value > 2000";
+        let first = db.execute_sql(sql).unwrap().collect_all().unwrap()[0].clone();
         let stats = db.stats().clone();
         stats.reset();
-        let mut cur = db
-            .execute_sql("SELECT * FROM orders WHERE value > 2000")
-            .unwrap();
+        let mut cur = db.execute_sql(sql).unwrap();
         let mut block = ColumnBlock::new(cur.arity());
         assert_eq!(cur.next_cblock(&mut block, 1).unwrap(), 1);
-        let cols_scanned = stats.get(Counter::RowsScanned);
-
-        stats.reset();
-        let mut cur = db
-            .execute_sql("SELECT * FROM orders WHERE value > 2000")
-            .unwrap();
-        let mut out = Vec::new();
-        assert_eq!(cur.next_block(&mut out, 1).unwrap(), 1);
-        assert_eq!(stats.get(Counter::RowsScanned), cols_scanned);
-        assert_eq!(out[0], block.row(0));
+        assert_eq!(stats.get(Counter::RowsScanned), 1);
+        assert_eq!(stats.get(Counter::TuplesShipped), 1);
+        assert_eq!(stats.get(Counter::BlocksShipped), 1);
+        assert_eq!(block.row(0), first);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! hundreds of live cursors keeps a bounded thread count. The pool
 //! boundary sits exactly where the thread boundary used to: the job
 //! owns the compiled plan (a `RowIter`, plain `Send` data) and its
-//! chaos gate; rows cross over the same bounded [`mix_common::ring`]
+//! chaos gate; column blocks cross over the same bounded [`mix_common::ring`]
 //! channel whose capacity is the prefetch depth, so readahead is
 //! bounded by back-pressure, not discipline.
 //!
@@ -50,7 +50,6 @@
 
 use crate::exec::{gated_cpull, RowIter};
 use crate::fault::ChaosState;
-use crate::table::Row;
 use mix_common::ring::{self, Receiver, TryRecv, TrySend};
 use mix_common::{
     BlockRamp, ColumnBlock, Counter, JobHandle, MixError, Pool, PoolJob, RetryPolicy, Stats, Step,
@@ -90,9 +89,8 @@ pub fn prefetch_pool_stats() -> Stats {
     pool().stats().clone()
 }
 
-/// One successfully fetched block, shipped columnar: the job builds
-/// the typed vectors, so a columnar consumer adopts them by move and a
-/// row consumer pays one materialization — never the reverse.
+/// One successfully fetched block: the job builds the typed vectors,
+/// and the consumer adopts them by move.
 pub(crate) struct FetchedBlock {
     pub(crate) cols: ColumnBlock,
     /// Backoff milliseconds of each in-job retry this block needed,
@@ -187,7 +185,6 @@ pub(crate) fn spawn(
         tx,
         pending: None,
         finished: false,
-        scratch: Vec::new(),
         _guard: guard,
     };
     let handle = pool().spawn(Box::new(job));
@@ -220,9 +217,6 @@ struct PrefetchJob {
     /// Once any `pending` is flushed the job is done (dropping `tx`
     /// closes the channel — clean end-of-stream for the consumer).
     finished: bool,
-    /// Row buffer for operators without a native columnar path, reused
-    /// across blocks (shipped blocks move their column vectors out).
-    scratch: Vec<Row>,
     _guard: ActiveGuard,
 }
 
@@ -265,7 +259,7 @@ impl PoolJob for PrefetchJob {
             return Step::Done;
         }
         // Produce one block. The same retry loop
-        // Cursor::next_block_retrying runs, moved in-job: identical
+        // Cursor::next_cblock_retrying runs, moved in-job: identical
         // admit sequence (a failed pull appends nothing, so the
         // re-issued pull is exact), identical counters.
         let want = self.ramp.next_size();
@@ -276,13 +270,7 @@ impl PoolJob for PrefetchJob {
         let mut spent_backoff = 0u64;
         let (k, arrival) = loop {
             let issue = Instant::now();
-            match gated_cpull(
-                &mut *self.iter,
-                &mut self.chaos,
-                &mut cols,
-                want,
-                &mut self.scratch,
-            ) {
+            match gated_cpull(&mut *self.iter, &mut self.chaos, &mut cols, want) {
                 Ok((k, latency_ms)) => break (k, issue + Duration::from_millis(latency_ms)),
                 Err(e) => {
                     if e.is_transient() && self.retry.allows(attempt + 1, spent_backoff) {

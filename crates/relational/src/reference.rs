@@ -142,6 +142,7 @@ mod tests {
             "SELECT c.id, o.orid FROM customer c, orders o WHERE c.id = o.cid ORDER BY c.id, o.orid",
             "SELECT c1.id FROM customer c1, customer c2 WHERE c1.id = c2.id AND c2.name < 'M'",
             "SELECT c.id, o.orid FROM customer c, orders o",
+            "SELECT c.id, o.orid FROM customer c, orders o WHERE o.cid > c.id AND o.value > 100",
             "SELECT o.orid FROM orders o WHERE o.value >= 500 AND o.value != 2400",
         ];
         for db in &dbs {

@@ -863,6 +863,7 @@ mod tests {
     use super::*;
     use crate::fixtures::sample_db;
     use crate::table::Row;
+    use mix_common::ColumnBlock;
 
     fn spec() -> ShardSpec {
         ShardSpec::new()
@@ -1054,19 +1055,21 @@ mod tests {
         let sql = "SELECT c.id, o.orid FROM customer c, orders o \
                    WHERE c.id = o.cid ORDER BY c.id, o.orid";
         let all = run(&base, sql);
-        let mut cur = sharded.execute_sql(sql).unwrap();
-        let mut rows = Vec::new();
-        // One row at a time through next().
-        while let Some(r) = cur.next().unwrap() {
-            rows.push(r);
+        // One row at a time, then small blocks.
+        for n in [1, 2] {
+            let mut cur = sharded.execute_sql(sql).unwrap();
+            let mut block = ColumnBlock::new(cur.arity());
+            let mut rows = Vec::new();
+            loop {
+                block.clear();
+                if cur.next_cblock(&mut block, n).unwrap() == 0 {
+                    break;
+                }
+                block.append_rows_to(&mut rows);
+            }
+            assert_eq!(rows, all, "{n}-row pulls");
+            assert_eq!(cur.delivered(), all.len() as u64);
         }
-        assert_eq!(rows, all);
-        // Small blocks.
-        let mut cur = sharded.execute_sql(sql).unwrap();
-        let mut rows = Vec::new();
-        while cur.next_block(&mut rows, 2).unwrap() > 0 {}
-        assert_eq!(rows, all);
-        assert_eq!(cur.delivered(), all.len() as u64);
     }
 
     #[test]

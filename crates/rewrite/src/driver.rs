@@ -132,9 +132,17 @@ pub fn rewrite_with_disabled(plan: &Plan, disabled: &[&str]) -> RewriteOutcome {
 
 /// Rewrite + split: the full composition-optimization pipeline
 /// (Section 6), ending with the maximal relational fragments pushed
-/// into `rQ` operators (Fig. 22).
+/// into `rQ` operators (Fig. 22). Equal to `lower(rewrite(plan))`.
 pub fn optimize(plan: &Plan, catalog: &Catalog) -> RewriteOutcome {
-    let mut out = rewrite(plan);
+    lower(rewrite(plan), catalog)
+}
+
+/// The catalog-aware tail of [`optimize`]: schema-aware pruning
+/// (interleaved with further rewriting) and the split into SQL
+/// fragments, extending `out`'s trace. A caller that also needs the
+/// logical (pre-prune, pre-split) plan rewrites once, keeps a copy of
+/// [`rewrite`]'s plan, and lowers the outcome.
+pub fn lower(mut out: RewriteOutcome, catalog: &Catalog) -> RewriteOutcome {
     // Schema-aware pruning (the paper's suggested source-schema rules):
     // may expose further simplification, so interleave with rewriting.
     while let Some(pruned) = crate::split::schema_prune(&out.plan, catalog) {

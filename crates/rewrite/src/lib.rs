@@ -28,7 +28,7 @@ pub mod split;
 pub mod util;
 
 pub use driver::{
-    optimize, rewrite, rewrite_with_disabled, RewriteOutcome, RewriteTrace, TraceStep,
+    lower, optimize, rewrite, rewrite_with_disabled, RewriteOutcome, RewriteTrace, TraceStep,
 };
 pub use sortedness::key_contiguous;
 pub use split::{schema_prune, split_plan};

@@ -344,7 +344,7 @@ fn shared_state_sessions_match_the_serial_baseline() {
     )
     .unwrap();
     let addr = server.addr();
-    // Baseline: one serial in-process session (private cache, no
+    // Baseline: one serial in-process session (its own cache, no
     // prefetch) running the script twice — result-root names embed
     // session-local result indices, so pass 1 has its own baseline.
     let expected: Vec<Vec<String>> = {

@@ -317,7 +317,7 @@ fn conjunct(rng: &mut Rng, ds: &Dataset, var: &str, shape: &SourceShape) -> Stri
     let op = *rng.pick(COMPARES);
     // ~1 in 10: a literal of a *different* type than the field (string
     // vs int column, float vs string…). Incomparable operands must be
-    // uniformly false across the row path, the vectorized kernels, and
+    // uniformly false across row-wise evaluation, the vectorized kernels, and
     // SQL pushdown.
     let lit_kind = if rng.chance(10) {
         rng.pick(shape.fields).1

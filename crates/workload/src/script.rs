@@ -158,8 +158,8 @@ pub enum Norm {
     /// options).
     Exact,
     /// Handle numerals elided; everything else exact, rendered text
-    /// including oids (lazy vs eager, row vs columnar: same engine,
-    /// same oids, different handle spacing).
+    /// including oids (lazy vs eager, block policies: same oids,
+    /// different handle spacing).
     NoHandles,
     /// Additionally strip per-line oid prefixes from rendered text
     /// (cached vs fresh plans re-mint skolem oids).

@@ -69,9 +69,6 @@ cargo bench -p mix-bench --bench block_sweep -- --smoke >/dev/null
 echo "==> prefetch_overlap bench smoke run"
 cargo bench -p mix-bench --bench prefetch_overlap -- --smoke >/dev/null
 
-echo "==> columnar_sweep bench smoke run"
-cargo bench -p mix-bench --bench columnar_sweep -- --smoke >/dev/null
-
 echo "==> serve_bench smoke run (pooled server, shared plan cache, concurrent wire sessions)"
 cargo bench -p mix-bench --bench serve_bench -- --smoke >/dev/null
 
@@ -88,5 +85,22 @@ cargo run --quiet --release -p mix-workload --bin workload_soak -- --smoke >/dev
 
 echo "==> fuzzer-surfaced regression repros"
 cargo test -q --test fuzz_regressions
+
+# perfbench/ is its own Cargo workspace, so nothing above compiles it.
+# Build it and run every workload BENCHMARK.json declares for one
+# second: each run checks its correctness pin (wire vs in-process, lazy
+# vs eager, optimized vs naive, sharded vs unsharded) before timing and
+# exits non-zero on a mismatch. Reads BENCHMARK.json and perfbench/,
+# writes only perfbench/target/.
+echo "==> benchmark build + correctness pins (every BENCHMARK.json workload, 1s, seed 1)"
+workloads=$(grep -o '"name": *"[a-z_]*", *"why"' BENCHMARK.json | sed 's/"name": *"\([a-z_]*\)".*/\1/')
+if [ -z "$workloads" ]; then
+  echo "error: no workloads found in BENCHMARK.json" >&2
+  exit 1
+fi
+for w in $workloads; do
+  cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$w" --seed 1 --seconds 1 --trace 0 >/dev/null
+done
 
 echo "All checks passed."

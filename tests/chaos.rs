@@ -41,27 +41,12 @@ fn q123_transcript(
     fault: Option<FaultPolicy>,
     retry: RetryPolicy,
 ) -> Result<(String, Stats)> {
-    q123_transcript_repr(block, fault, retry, true)
-}
-
-/// [`q123_transcript`] with the block representation pinned
-/// (`columnar: false` = the boxed-row ablation).
-fn q123_transcript_repr(
-    block: BlockPolicy,
-    fault: Option<FaultPolicy>,
-    retry: RetryPolicy,
-    columnar: bool,
-) -> Result<(String, Stats)> {
     let (catalog, db) = customers_orders(12, 3, 17);
     let stats = db.stats().clone();
     db.set_fault_policy(fault);
     let m = Mediator::with_options(
         catalog,
-        MediatorOptions::builder()
-            .block(block)
-            .retry(retry)
-            .columnar(columnar)
-            .build(),
+        MediatorOptions::builder().block(block).retry(retry).build(),
     );
     let mut s = m.session();
     let mut out = String::new();
@@ -115,44 +100,6 @@ fn transient_faults_with_retries_are_invisible() {
     }
     // The sweep actually exercised the fault path.
     assert!(total_faults > 0, "seed {SEED:#x} injected no faults");
-}
-
-/// The block representation is invisible to the fault machinery: under
-/// 10%-per-block transient chaos, the columnar path and the boxed-row
-/// ablation produce bit-for-bit identical transcripts and identical
-/// fault/retry/shipping counters. (The chaos gate admits *pull sizes*,
-/// never representations, so the deterministic fault schedule replays
-/// exactly.)
-#[test]
-fn columnar_and_row_paths_agree_under_chaos() {
-    for block in [BlockPolicy::Fixed(8), BlockPolicy::Auto] {
-        let mut runs = Vec::new();
-        for columnar in [true, false] {
-            let (out, stats) = q123_transcript_repr(
-                block,
-                Some(FaultPolicy::transient(SEED, 100)),
-                RetryPolicy::default(),
-                columnar,
-            )
-            .unwrap_or_else(|e| panic!("chaos run failed under {block:?}: {e}"));
-            runs.push((
-                out,
-                [
-                    Counter::TuplesShipped,
-                    Counter::BlocksShipped,
-                    Counter::FaultsInjected,
-                    Counter::RetriesAttempted,
-                    Counter::BackendErrors,
-                ]
-                .map(|c| stats.get(c)),
-            ));
-        }
-        assert_eq!(
-            runs[0], runs[1],
-            "representation divergence under {block:?}"
-        );
-        assert!(runs[0].1[2] > 0, "seed {SEED:#x} injected no faults");
-    }
 }
 
 /// A transient-fault burst longer than the retry budget exhausts it:

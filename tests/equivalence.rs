@@ -170,48 +170,6 @@ fn gby_kernels_agree() {
     }
 }
 
-/// The columnar block representation is invisible: across block
-/// policies and prefetch settings, the typed-column-vector path and the
-/// boxed-row ablation produce the *identical rendering* (oids and
-/// sibling order included) and identical shipped-data accounting.
-#[test]
-fn columnar_and_row_representations_agree() {
-    let mut rng = Lcg(31337);
-    for case in 0..10u64 {
-        let n_customers = 1 + rng.below(12) as usize;
-        let orders_per = rng.below(5) as usize;
-        let seed = rng.below(500);
-        let threshold = rng.below(100_000) as i64;
-        let template_idx = (case % TEMPLATES.len() as u64) as usize;
-        let query = instantiate(TEMPLATES[template_idx], threshold);
-        for block in [BlockPolicy::Off, BlockPolicy::Fixed(8), BlockPolicy::Auto] {
-            for prefetch in [PrefetchPolicy::Off, PrefetchPolicy::Auto] {
-                let mut runs = Vec::new();
-                for columnar in [true, false] {
-                    let (catalog, db) =
-                        mix_repro::datagen::customers_orders(n_customers, orders_per, seed);
-                    let stats = db.stats().clone();
-                    let options = MediatorOptions::builder()
-                        .block(block)
-                        .prefetch(prefetch)
-                        .columnar(columnar)
-                        .build();
-                    let rendered = run_with(options, &catalog, &query);
-                    runs.push((
-                        rendered,
-                        stats.get(Counter::TuplesShipped),
-                        stats.get(Counter::BlocksShipped),
-                    ));
-                }
-                assert_eq!(
-                    runs[0], runs[1],
-                    "case {case}: block={block:?} prefetch={prefetch:?} query={query}"
-                );
-            }
-        }
-    }
-}
-
 /// The pipelined SQL executor agrees with the cartesian-product
 /// reference evaluator.
 #[test]

@@ -326,3 +326,43 @@ fn shared_plan_cache_never_crosses_backends() {
     run(cat_sharded);
     assert_eq!((hits(), misses()), (1, 3));
 }
+
+#[test]
+fn shared_plan_cache_never_crosses_views() {
+    // Regression: a cached decontextualized template is only valid for
+    // the view it was decontextualized against. Two sessions over the
+    // same backend, sharing one cache, issue the same in-place query
+    // from the same skolem shape of their first result — but one
+    // session's view filters orders. Keying the template on the
+    // producing result's *index* let the plain view replay the
+    // filtered view's plan and silently drop its orders.
+    use std::sync::Arc;
+    let (catalog, _) = mix_repro::datagen::customers_orders(20, 2, 7);
+    let filtered = Q1.replace(
+        "WHERE $C/id/data() = $O/cid/data()",
+        "WHERE $C/id/data() = $O/cid/data() AND $O/value/data() > 50000",
+    );
+    let cache = Arc::new(SharedPlanCache::default());
+    // (children of the in-place answer, session PlanCacheHits)
+    let run = |view: &str, cache: Option<&Arc<SharedPlanCache>>| {
+        let mut opts = MediatorOptions::builder();
+        if let Some(c) = cache {
+            opts = opts.shared_plan_cache(Arc::clone(c));
+        }
+        let m = Mediator::with_options(catalog.clone(), opts.build());
+        let mut s = m.session();
+        let p0 = s.query(view).unwrap();
+        let rec = s.d(p0).unwrap().unwrap();
+        let p = s
+            .q("FOR $O IN document(root)/OrderInfo RETURN $O", rec)
+            .unwrap();
+        let hits = s.ctx().stats().get(Counter::PlanCacheHits);
+        (s.child_count(p).unwrap(), hits)
+    };
+    // The plain view's first CustRec carries both of its orders.
+    assert_eq!(run(Q1, None), (2, 0));
+    run(&filtered, Some(&cache));
+    assert_eq!(run(Q1, Some(&cache)), (2, 0));
+    // Sessions over the *same* view still share the template.
+    assert_eq!(run(Q1, Some(&cache)), (2, 1));
+}
