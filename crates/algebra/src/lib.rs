@@ -30,6 +30,8 @@
 //! subset into plans ([`translate()`]), plan validation (variable scoping
 //! and join-disjointness), and the paper-figure-style pretty printer.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod cond;
 pub mod equi;

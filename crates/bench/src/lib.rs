@@ -7,6 +7,8 @@
 //! tables EXPERIMENTS.md records). `cargo bench` runs the same
 //! comparisons under the in-repo [`harness`] for wall-clock numbers.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod figures;
 pub mod harness;

@@ -18,6 +18,8 @@
 //!   performance claims measurable; re-exported from `mix-obs`
 //!   together with [`Counter`], [`Snapshot`] and [`Delta`].
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod column;
 pub mod error;

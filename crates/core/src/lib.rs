@@ -50,6 +50,8 @@
 //! | [`proto`] | `mix-proto` | the framed QDOM wire protocol |
 //! | [`serve`] | `mix-serve` | multi-session server front-end |
 
+#![forbid(unsafe_code)]
+
 pub use mix_algebra as algebra;
 pub use mix_common as common;
 pub use mix_engine as engine;

@@ -24,6 +24,8 @@
 //! enclose the given node, and the variable to which this node was
 //! bound" — which is what makes queries-from-nodes decontextualizable.
 
+#![forbid(unsafe_code)]
+
 pub mod context;
 pub mod eager;
 pub mod explain;

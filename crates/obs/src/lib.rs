@@ -25,6 +25,7 @@
 //! the server threads that observe it.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod counter;
 mod profile;

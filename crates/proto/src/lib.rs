@@ -31,6 +31,7 @@
 //! (pinned by the round-trip property tests).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod codec;
 mod message;

@@ -21,6 +21,8 @@
 //! producing a standalone query the sources can answer with no context
 //! mechanism at all.
 
+#![forbid(unsafe_code)]
+
 pub mod decontext;
 pub mod mediator;
 pub(crate) mod plancache;

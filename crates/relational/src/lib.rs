@@ -21,6 +21,8 @@
 //! Shipped-tuple counts are the measurable form of the paper's "transfer
 //! of the minimum amount of data between the mediator and the sources".
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod db;
 pub mod exec;

@@ -20,6 +20,8 @@
 //!   an `ORDER BY` on the group-by key columns so the mediator can run
 //!   the *stateless* presorted `gBy`.
 
+#![forbid(unsafe_code)]
+
 pub mod driver;
 pub mod passes;
 pub mod rules;

@@ -7,19 +7,24 @@
 //! framed protocol:
 //!
 //! * [`Server`] — a TCP listener that multiplexes every accepted
-//!   connection over a **bounded worker pool**: one acceptor, one
-//!   poller that decodes frames into per-session event queues, and a
-//!   fixed number of session workers woken by a condvar (OS threads are
-//!   bounded by [`ServerConfig::workers`], never by session count, and
-//!   the server never busy-waits while idle). The engine is
-//!   `Send + Sync` (`Arc`-based virtual results), so owned sessions
-//!   migrate across workers between commands; the server builds a
-//!   *fresh mediator per session* from a caller-supplied factory, and
-//!   sessions share exactly what the factory wires in — e.g. a
-//!   process-wide [`mix_qdom::SharedPlanCache`] and the pooled prefetch
-//!   executor. The workspace carries no async runtime — the listener is
-//!   plain `std::net` with nonblocking sockets, which keeps the whole
-//!   stack dependency-free.
+//!   connection over a **bounded worker pool**: one epoll-driven poller
+//!   that accepts connections and decodes frames into per-session event
+//!   queues, and a fixed number of session workers woken by a condvar
+//!   (OS threads are bounded by [`ServerConfig::workers`], never by
+//!   session count). Nothing polls on a timer: the poller blocks in
+//!   `epoll_wait` until a socket is ready or an idle deadline is due,
+//!   and workers block until a session has work, so an idle server
+//!   does not wake at all. The engine is `Send + Sync` (`Arc`-based
+//!   virtual results), so owned sessions migrate across workers
+//!   between commands; the server builds a *fresh mediator per
+//!   session* from a caller-supplied factory, and sessions share
+//!   exactly what the factory wires in — e.g. a process-wide
+//!   [`mix_qdom::SharedPlanCache`] and the pooled prefetch executor.
+//!   The workspace carries no async runtime and no external crates:
+//!   the listener is plain `std::net` with nonblocking sockets, and
+//!   the readiness calls (`epoll`, `poll`) are declared against the
+//!   libc std already links, in the crate's one module allowed to use
+//!   `unsafe`. The server is Linux-only.
 //! * Session lifecycle — a `Hello`/`Welcome` handshake (version
 //!   checked), an idle timeout that closes silent sessions, and a
 //!   clean `Bye` in both directions.
@@ -36,9 +41,12 @@
 //!   `QdomSession`, returning the same `MixError`s.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 mod client;
 mod server;
+#[allow(unsafe_code)]
+mod sys;
 
 pub use client::{WireClient, WireError};
 pub use server::{MediatorFactory, Server, ServerConfig};

@@ -1,39 +1,43 @@
-//! The pooled server: acceptor + poller + a bounded worker pool.
+//! The pooled server: one epoll-driven poller + a bounded worker pool.
 //!
-//! Three kinds of threads serve every session, and their count is
-//! fixed at startup — OS threads are bounded by the pool size, never by
-//! the session count:
+//! Two kinds of threads serve every session, and their count is fixed
+//! at startup — OS threads are bounded by the pool size, never by the
+//! session count:
 //!
-//! * **One acceptor** blocks on the listener and registers accepted
-//!   connections with the poller.
-//! * **One poller** owns every connection's read side: it reads
-//!   nonblocking sockets into per-connection buffers, incrementally
-//!   decodes length-prefixed frames, and pushes them (plus synthetic
-//!   idle-timeout and shutdown events) onto per-session queues,
-//!   signalling the worker pool's condvar — workers sleep on readiness,
-//!   not on read-timeout polls. The poller's own sweep sleep adapts:
-//!   tight under traffic, backing off to a few milliseconds when every
-//!   socket is silent.
+//! * **One poller** blocks in `epoll_wait` on a single readiness set:
+//!   the listener, every connection, and a wake socket. It accepts when
+//!   the listener is ready, reads a connection only when it has bytes,
+//!   incrementally decodes length-prefixed frames, and pushes them
+//!   (plus synthetic idle-timeout and shutdown events) onto
+//!   per-session queues, signalling the worker pool's condvar. The wait
+//!   timeout is the earliest idle deadline, so a silent server makes no
+//!   wake-ups at all; workers and [`Server::shutdown`] reach the poller
+//!   through one byte on the wake socket.
 //! * **`workers` session workers** drain ready queues. A claimed flag
 //!   gives each session exactly one worker at a time (commands of one
 //!   session never interleave), while a slow session occupies at most
 //!   one worker — it cannot head-of-line-block the rest.
 //!
-//! Back-pressure: a session whose event queue is full stops being read
-//! (TCP back-pressure reaches the client); the queue cap bounds memory
-//! per session.
+//! Back-pressure: a session whose event queue reaches its cap is
+//! disarmed in the readiness set (TCP back-pressure reaches the
+//! client) until its worker drains the queue and wakes the poller to
+//! re-arm it; the cap bounds memory per session. On the write side, a
+//! peer that stops reading gets at most one idle timeout to make room
+//! before its session is closed, so it cannot hold a worker forever.
 //!
 //! Sessions are owned (`QdomSession<'static>` over an `Arc<Mediator>`),
 //! so they migrate freely across worker threads between commands — the
 //! engine's shared state is `Send + Sync` end to end.
 
+use crate::sys::{self, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN};
 use mix_common::MixError;
 use mix_obs::{Counter, Stats};
 use mix_proto::{Frame, Reply, MAX_FRAME_LEN, PROTO_VERSION};
 use mix_qdom::{Mediator, QdomSession};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -50,17 +54,20 @@ fn lock_np<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// How often the acceptor re-checks the shutdown flag.
-const POLL: Duration = Duration::from_millis(20);
-
-/// Poller sweep sleep bounds: tight while sockets carry traffic,
-/// backing off geometrically when everything is silent.
-const SWEEP_MIN: Duration = Duration::from_micros(50);
-const SWEEP_MAX: Duration = Duration::from_millis(5);
-
 /// Per-session event-queue cap; a session at the cap stops being read
 /// until a worker drains it.
 const QUEUE_CAP: usize = 128;
+
+/// Readiness tokens of the two descriptors that are not connections;
+/// a connection is registered under its id (ids count up from 1).
+const LISTENER: u64 = u64::MAX;
+const WAKE: u64 = u64::MAX - 1;
+
+/// When `accept` fails for a reason other than an empty backlog
+/// (typically: out of file descriptors), the still-pending connection
+/// would keep the listener ready forever. The poller disarms the
+/// listener instead and retries after this long.
+const ACCEPT_RETRY: Duration = Duration::from_millis(100);
 
 /// Server policy knobs.
 #[derive(Debug, Clone)]
@@ -132,6 +139,9 @@ struct ConnQueue {
     /// session being scheduled twice (and so against two workers
     /// interleaving one session's commands).
     scheduled: bool,
+    /// The poller disarmed this connection at `QUEUE_CAP`; the worker
+    /// that drains the queue clears it and wakes the poller to re-arm.
+    paused: bool,
 }
 
 /// The session half — locked only by the (single) claiming worker.
@@ -152,13 +162,25 @@ struct Conn {
     closed: AtomicBool,
 }
 
+/// The worker pool's ready queue.
+struct Ready {
+    conns: VecDeque<Arc<Conn>>,
+    /// Set by [`Server::shutdown`] once the poller has queued every
+    /// live session's `Shutdown` event and exited — only then may idle
+    /// workers exit. Written under this lock, so a worker that saw it
+    /// unset is already waiting when the notify comes.
+    drained: bool,
+}
+
 struct Shared {
-    ready: Mutex<VecDeque<Arc<Conn>>>,
+    ready: Mutex<Ready>,
     ready_cv: Condvar,
     shutdown: AtomicBool,
-    /// Set by the poller once every live session has its `Shutdown`
-    /// event queued — only then may idle workers exit.
-    drained: AtomicBool,
+    /// The wake socket pair: a byte written to `wake_tx` makes the
+    /// poller's `epoll_wait` return. Both ends live here, so a late
+    /// write never finds the reader gone.
+    wake_tx: UnixStream,
+    wake_rx: UnixStream,
     stats: Stats,
     live: AtomicUsize,
     config: ServerConfig,
@@ -175,17 +197,23 @@ impl Shared {
             !std::mem::replace(&mut q.scheduled, true)
         };
         if schedule {
-            lock_np(&self.ready).push_back(Arc::clone(conn));
+            lock_np(&self.ready).conns.push_back(Arc::clone(conn));
             self.ready_cv.notify_one();
         }
     }
+
+    /// Make the poller look at shared state: the shutdown flag, closed
+    /// connections, and sessions whose workers drained them. A full
+    /// wake buffer already guarantees a wake-up, so errors are moot.
+    fn wake(&self) {
+        let _ = (&self.wake_tx).write(&[1]);
+    }
 }
 
-/// A running MIX server: acceptor + poller + a fixed worker pool.
+/// A running MIX server: one poller + a fixed worker pool.
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
     poller: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -202,33 +230,40 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        let epoll = Epoll::new()?;
+        epoll.add(&listener, EPOLLIN, LISTENER)?;
+        epoll.add(&wake_rx, EPOLLIN, WAKE)?;
         let worker_count = config.worker_count();
         let shared = Arc::new(Shared {
-            ready: Mutex::new(VecDeque::new()),
+            ready: Mutex::new(Ready {
+                conns: VecDeque::new(),
+                drained: false,
+            }),
             ready_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            drained: AtomicBool::new(false),
+            wake_tx,
+            wake_rx,
             stats: Stats::new(),
             live: AtomicUsize::new(0),
             config,
             factory,
         });
-        let incoming: Arc<Mutex<Vec<Arc<Conn>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let shared = Arc::clone(&shared);
-            let incoming = Arc::clone(&incoming);
-            thread::Builder::new()
-                .name("mix-serve-accept".into())
-                .spawn(move || accept_loop(listener, shared, incoming))
-                .expect("spawn acceptor")
+        let poller = Poller {
+            shared: Arc::clone(&shared),
+            epoll,
+            listener,
+            accept_retry: None,
+            conns: HashMap::new(),
+            next_id: 1,
+            tmp: vec![0u8; 16 * 1024],
         };
-        let poller = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("mix-serve-poll".into())
-                .spawn(move || poll_loop(shared, incoming))
-                .expect("spawn poller")
-        };
+        let poller = thread::Builder::new()
+            .name("mix-serve-poll".into())
+            .spawn(move || poller.run())
+            .expect("spawn poller");
         let workers = (0..worker_count)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -241,7 +276,6 @@ impl Server {
         Ok(Server {
             addr,
             shared,
-            accept: Some(accept),
             poller: Some(poller),
             workers,
         })
@@ -277,14 +311,13 @@ impl Server {
     /// it was before the server started.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        // The poller queues a Shutdown event per live session, then
-        // sets `drained` and exits once workers have closed them all.
+        self.shared.wake();
+        // The poller queues a Shutdown event per live session and
+        // exits; once it has, workers may exit when the queue is dry.
         if let Some(h) = self.poller.take() {
             let _ = h.join();
         }
+        lock_np(&self.shared.ready).drained = true;
         self.shared.ready_cv.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -298,123 +331,221 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, incoming: Arc<Mutex<Vec<Arc<Conn>>>>) {
-    let mut next_id: u64 = 1;
-    while !shared.shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nodelay(true);
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let conn = Arc::new(Conn {
-                    id: next_id,
-                    stream,
-                    queue: Mutex::new(ConnQueue {
-                        events: VecDeque::new(),
-                        scheduled: false,
-                    }),
-                    sess: Mutex::new(SessState {
-                        session: None,
-                        handshook: false,
-                        slot_held: false,
-                    }),
-                    closed: AtomicBool::new(false),
-                });
-                next_id += 1;
-                lock_np(&incoming).push(conn);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
-            Err(_) => thread::sleep(POLL),
-        }
-    }
-}
-
 /// Poller-side per-connection state: the decode buffer and the idle
 /// deadline. Lives outside `Conn` — no lock is ever needed to decode.
 struct Polled {
     conn: Arc<Conn>,
     buf: Vec<u8>,
     deadline: Instant,
-    /// The poller is done with this connection (events queued, reads
-    /// stopped); it is pruned once the worker marks `conn.closed`.
-    retired: bool,
+    /// Registered for `EPOLLIN`; false while paused at `QUEUE_CAP`.
+    /// Paused connections neither read nor time out.
+    armed: bool,
 }
 
-fn poll_loop(shared: Arc<Shared>, incoming: Arc<Mutex<Vec<Arc<Conn>>>>) {
-    let mut conns: Vec<Polled> = Vec::new();
-    let mut sweep = SWEEP_MAX;
-    let mut tmp = vec![0u8; 16 * 1024];
-    loop {
-        let shutting = shared.shutdown.load(Ordering::Relaxed);
-        let now = Instant::now();
-        for conn in lock_np(&incoming).drain(..) {
-            // Connections accepted after shutdown began are dropped
-            // here (their sockets close with the Arc).
-            if !shutting {
-                conns.push(Polled {
-                    conn,
-                    buf: Vec::new(),
-                    deadline: now + shared.config.idle_timeout,
-                    retired: false,
-                });
+/// The poller thread's state: the readiness set and everything
+/// registered in it.
+struct Poller {
+    shared: Arc<Shared>,
+    epoll: Epoll,
+    listener: TcpListener,
+    /// Set while the listener is disarmed after a failed `accept`:
+    /// when to re-arm it.
+    accept_retry: Option<Instant>,
+    /// Registered connections by id; a retired connection is removed
+    /// (and deregistered) at once.
+    conns: HashMap<u64, Polled>,
+    next_id: u64,
+    tmp: Vec<u8>,
+}
+
+impl Poller {
+    fn run(mut self) {
+        let mut events = [EpollEvent::default(); 64];
+        let mut wake_at = None;
+        while !self.shared.shutdown.load(Ordering::SeqCst) {
+            let timeout = wake_at.map(|t: Instant| t.saturating_duration_since(Instant::now()));
+            let Ok(ready) = self.epoll.wait(&mut events, timeout) else {
+                break; // the readiness set is unusable: shut sessions down
+            };
+            let now = Instant::now();
+            let mut woken = false;
+            for ev in ready {
+                match ev.token() {
+                    LISTENER => self.accept(now),
+                    WAKE => woken = true,
+                    id => self.readable(id, ev.events(), now),
+                }
+            }
+            if woken {
+                self.on_wake(now);
+            }
+            wake_at = self.tick(now);
+        }
+        // Connections that never reached the poller die with the
+        // listener; every registered one is told to say `Bye`.
+        for p in self.conns.values() {
+            if !p.conn.closed.load(Ordering::SeqCst) {
+                self.shared.push_event(&p.conn, Event::Shutdown);
             }
         }
-        let mut activity = false;
-        for p in &mut conns {
-            if p.retired || p.conn.closed.load(Ordering::Relaxed) {
-                continue;
-            }
-            if shutting {
-                shared.push_event(&p.conn, Event::Shutdown);
-                p.retired = true;
-                continue;
-            }
-            // Back-pressure: a session at its queue cap stops being
-            // read until a worker drains it.
-            if lock_np(&p.conn.queue).events.len() >= QUEUE_CAP {
-                continue;
-            }
-            if sweep_read(&shared, p, &mut tmp, now) {
-                activity = true;
-            }
-        }
-        conns.retain(|p| !p.conn.closed.load(Ordering::Relaxed));
-        if shutting {
-            // Every survivor has its Shutdown queued; tell workers the
-            // drain is complete, then wait for them to close the rest.
-            shared.drained.store(true, Ordering::SeqCst);
-            shared.ready_cv.notify_all();
-            if conns.is_empty() {
-                return;
+    }
+
+    fn accept(&mut self, now: Instant) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _peer)) => self.register(stream, now),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                    ) => {}
+                Err(_) => {
+                    if self.epoll.modify(&self.listener, 0, LISTENER).is_ok() {
+                        self.accept_retry = Some(now + ACCEPT_RETRY);
+                    }
+                    return;
+                }
             }
         }
-        if activity {
-            // Traffic in flight: yield so workers (and clients, on a
-            // small machine) run, then sweep again without a timer —
-            // a sleeping poller would idle the worker pool.
-            sweep = SWEEP_MIN;
-            thread::yield_now();
-        } else {
-            sweep = (sweep * 2).min(SWEEP_MAX);
-            thread::sleep(sweep);
+    }
+
+    fn register(&mut self, stream: TcpStream, now: Instant) {
+        let _ = stream.set_nodelay(true);
+        if stream.set_nonblocking(true).is_err() {
+            return;
         }
+        let id = self.next_id;
+        if self.epoll.add(&stream, EPOLLIN, id).is_err() {
+            return;
+        }
+        self.next_id += 1;
+        let conn = Arc::new(Conn {
+            id,
+            stream,
+            queue: Mutex::new(ConnQueue {
+                events: VecDeque::new(),
+                scheduled: false,
+                paused: false,
+            }),
+            sess: Mutex::new(SessState {
+                session: None,
+                handshook: false,
+                slot_held: false,
+            }),
+            closed: AtomicBool::new(false),
+        });
+        self.conns.insert(
+            id,
+            Polled {
+                conn,
+                buf: Vec::new(),
+                deadline: now + self.shared.config.idle_timeout,
+                armed: true,
+            },
+        );
+    }
+
+    /// One readiness report for connection `id`: read and decode it,
+    /// or retire it when the peer is gone.
+    fn readable(&mut self, id: u64, bits: u32, now: Instant) {
+        let Some(p) = self.conns.get_mut(&id) else {
+            return; // retired earlier in this batch
+        };
+        if !p.armed {
+            // A disarmed connection reports only errors and hang-ups:
+            // it is finished either way.
+            if bits & (EPOLLERR | EPOLLHUP) != 0 {
+                self.retire(id, Event::Closed);
+            }
+            return;
+        }
+        if !read_frames(&self.shared, p, &mut self.tmp, now) {
+            return self.retire(id, Event::Closed);
+        }
+        // Back-pressure: a session at its queue cap stops being read
+        // until its worker drains it.
+        let full = {
+            let mut q = lock_np(&p.conn.queue);
+            q.paused = q.events.len() >= QUEUE_CAP;
+            q.paused
+        };
+        if full && self.epoll.modify(&p.conn.stream, 0, id).is_ok() {
+            p.armed = false;
+        }
+    }
+
+    /// The poller's part of a connection is over: queue its last event
+    /// (unless a worker already closed it) and forget it.
+    fn retire(&mut self, id: u64, ev: Event) {
+        if let Some(p) = self.conns.remove(&id) {
+            let _ = self.epoll.delete(&p.conn.stream);
+            if !p.conn.closed.load(Ordering::SeqCst) {
+                self.shared.push_event(&p.conn, ev);
+            }
+        }
+    }
+
+    /// Drain the wake socket, drop connections workers closed, and
+    /// re-arm paused sessions whose queues were drained.
+    fn on_wake(&mut self, now: Instant) {
+        let mut sink = [0u8; 64];
+        while matches!((&self.shared.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
+        let epoll = &self.epoll;
+        let deadline = now + self.shared.config.idle_timeout;
+        self.conns.retain(|&id, p| {
+            if p.conn.closed.load(Ordering::SeqCst) {
+                let _ = epoll.delete(&p.conn.stream);
+                return false;
+            }
+            if !p.armed
+                && !lock_np(&p.conn.queue).paused
+                && epoll.modify(&p.conn.stream, EPOLLIN, id).is_ok()
+            {
+                p.armed = true;
+                p.deadline = deadline;
+            }
+            true
+        });
+    }
+
+    /// The time-driven work: re-arm the listener once its retry is due,
+    /// and close armed connections whose idle deadline passed. Returns
+    /// when the next such work is due, if ever — the `epoll_wait`
+    /// timeout, so a silent server never wakes before then.
+    fn tick(&mut self, now: Instant) -> Option<Instant> {
+        if self.accept_retry.is_some_and(|t| now >= t)
+            && self.epoll.modify(&self.listener, EPOLLIN, LISTENER).is_ok()
+        {
+            self.accept_retry = None;
+        }
+        let idle: Vec<u64> = self
+            .conns
+            .iter()
+            .filter(|(_, p)| p.armed && p.deadline <= now)
+            .map(|(&id, _)| id)
+            .collect();
+        for id in idle {
+            self.retire(id, Event::Idle);
+        }
+        let deadlines = self.conns.values().filter(|p| p.armed).map(|p| p.deadline);
+        deadlines.chain(self.accept_retry).min()
     }
 }
 
-/// Read whatever one socket has, decode complete frames into events.
-/// Returns true when any bytes arrived.
-fn sweep_read(shared: &Arc<Shared>, p: &mut Polled, tmp: &mut [u8], now: Instant) -> bool {
-    let mut got = false;
+/// Read whatever one socket has and queue every complete frame.
+/// Returns false once the connection is finished: the peer closed, the
+/// read failed, or the bytes do not decode. Frames that arrived before
+/// the end are still queued.
+fn read_frames(shared: &Shared, p: &mut Polled, tmp: &mut [u8], now: Instant) -> bool {
+    let mut open = true;
     loop {
         match (&p.conn.stream).read(tmp) {
             Ok(0) => {
-                shared.push_event(&p.conn, Event::Closed);
-                p.retired = true;
-                return got;
+                open = false;
+                break;
             }
             Ok(n) => {
-                got = true;
                 p.buf.extend_from_slice(&tmp[..n]);
                 p.deadline = now + shared.config.idle_timeout;
                 if n < tmp.len() {
@@ -424,9 +555,8 @@ fn sweep_read(shared: &Arc<Shared>, p: &mut Polled, tmp: &mut [u8], now: Instant
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
-                shared.push_event(&p.conn, Event::Closed);
-                p.retired = true;
-                return got;
+                open = false;
+                break;
             }
         }
     }
@@ -436,9 +566,7 @@ fn sweep_read(shared: &Arc<Shared>, p: &mut Polled, tmp: &mut [u8], now: Instant
         let len =
             u32::from_le_bytes(p.buf[consumed..consumed + 4].try_into().expect("4 bytes")) as usize;
         if len == 0 || len > MAX_FRAME_LEN as usize {
-            shared.push_event(&p.conn, Event::Closed);
-            p.retired = true;
-            break;
+            return false;
         }
         if p.buf.len() < consumed + 4 + len {
             break; // partial frame; wait for more bytes
@@ -446,45 +574,30 @@ fn sweep_read(shared: &Arc<Shared>, p: &mut Polled, tmp: &mut [u8], now: Instant
         let payload = &p.buf[consumed + 4..consumed + 4 + len];
         match Frame::decode_payload(payload) {
             Ok(f) => shared.push_event(&p.conn, Event::Frame(f, 4 + len)),
-            Err(_) => {
-                shared.push_event(&p.conn, Event::Closed);
-                p.retired = true;
-                break;
-            }
+            Err(_) => return false,
         }
         consumed += 4 + len;
     }
     if consumed > 0 {
         p.buf.drain(..consumed);
     }
-    if !p.retired && now >= p.deadline {
-        shared.push_event(&p.conn, Event::Idle);
-        p.retired = true;
-    }
-    got
+    open
 }
 
 fn worker_loop(shared: Arc<Shared>) {
     loop {
         let conn = {
-            let mut q = lock_np(&shared.ready);
+            let mut r = lock_np(&shared.ready);
             loop {
-                if let Some(c) = q.pop_front() {
-                    break Some(c);
+                if let Some(c) = r.conns.pop_front() {
+                    break c;
                 }
-                if shared.drained.load(Ordering::Relaxed) {
-                    break None;
+                if r.drained {
+                    return;
                 }
-                // The timeout only bounds shutdown latency if a notify
-                // is lost; readiness normally arrives via the condvar.
-                q = shared
-                    .ready_cv
-                    .wait_timeout(q, POLL)
-                    .unwrap_or_else(|p| p.into_inner())
-                    .0;
+                r = shared.ready_cv.wait(r).unwrap_or_else(|p| p.into_inner());
             }
         };
-        let Some(conn) = conn else { return };
         serve_batch(&shared, &conn);
     }
 }
@@ -511,8 +624,8 @@ fn serve_batch(shared: &Arc<Shared>, conn: &Arc<Conn>) {
         .is_err();
         if panicked {
             send(
+                shared,
                 conn,
-                &shared.stats,
                 &Frame::Rep(Reply::Err(MixError::internal(
                     "session panicked; connection closed",
                 ))),
@@ -521,18 +634,23 @@ fn serve_batch(shared: &Arc<Shared>, conn: &Arc<Conn>) {
         }
     }
     drop(sess);
-    // Unclaim — or reschedule if the poller queued more meanwhile.
-    let reschedule = {
+    // Unclaim — or reschedule if the poller queued more meanwhile. A
+    // session the poller paused at its queue cap is drained now: wake
+    // the poller to read it again.
+    let (reschedule, resume) = {
         let mut q = lock_np(&conn.queue);
         if q.events.is_empty() || conn.closed.load(Ordering::Relaxed) {
             q.scheduled = false;
-            false
+            (false, std::mem::take(&mut q.paused))
         } else {
-            true
+            (true, false)
         }
     };
+    if resume {
+        shared.wake();
+    }
     if reschedule {
-        lock_np(&shared.ready).push_back(Arc::clone(conn));
+        lock_np(&shared.ready).conns.push_back(Arc::clone(conn));
         shared.ready_cv.notify_one();
     }
 }
@@ -553,8 +671,8 @@ fn handle_event(shared: &Arc<Shared>, conn: &Arc<Conn>, sess: &mut SessState, ev
                 if version != PROTO_VERSION {
                     stats.inc(Counter::SessionsRejected);
                     send(
+                        shared,
                         conn,
-                        stats,
                         &Frame::Reject {
                             reason: format!(
                             "protocol version mismatch: client v{version}, server v{PROTO_VERSION}"
@@ -566,8 +684,8 @@ fn handle_event(shared: &Arc<Shared>, conn: &Arc<Conn>, sess: &mut SessState, ev
                 if !acquire_slot(&shared.live, shared.config.max_sessions) {
                     stats.inc(Counter::SessionsRejected);
                     send(
+                        shared,
                         conn,
-                        stats,
                         &Frame::Reject {
                             reason: format!(
                                 "session limit reached ({} live)",
@@ -580,8 +698,8 @@ fn handle_event(shared: &Arc<Shared>, conn: &Arc<Conn>, sess: &mut SessState, ev
                 sess.slot_held = true;
                 stats.inc(Counter::SessionsOpened);
                 if !send(
+                    shared,
                     conn,
-                    stats,
                     &Frame::Welcome {
                         version: PROTO_VERSION,
                         session: conn.id,
@@ -612,13 +730,13 @@ fn handle_event(shared: &Arc<Shared>, conn: &Arc<Conn>, sess: &mut SessState, ev
                 } else {
                     session.dispatch(cmd)
                 };
-            if !send(conn, stats, &Frame::Rep(reply)) {
+            if !send(shared, conn, &Frame::Rep(reply)) {
                 close(conn, sess, shared);
             }
         }
         Event::Frame(Frame::Bye, n) => {
             stats.add(Counter::WireBytesIn, n as u64);
-            send(conn, stats, &Frame::Bye);
+            send(shared, conn, &Frame::Bye);
             close(conn, sess, shared);
         }
         Event::Frame(_, n) => {
@@ -626,8 +744,8 @@ fn handle_event(shared: &Arc<Shared>, conn: &Arc<Conn>, sess: &mut SessState, ev
             // answer once and close.
             stats.add(Counter::WireBytesIn, n as u64);
             send(
+                shared,
                 conn,
-                stats,
                 &Frame::Rep(Reply::Err(MixError::invalid(
                     "unexpected frame: only Cmd and Bye are valid after the handshake",
                 ))),
@@ -635,7 +753,7 @@ fn handle_event(shared: &Arc<Shared>, conn: &Arc<Conn>, sess: &mut SessState, ev
             close(conn, sess, shared);
         }
         Event::Idle | Event::Shutdown => {
-            send(conn, stats, &Frame::Bye);
+            send(shared, conn, &Frame::Bye);
             close(conn, sess, shared);
         }
         Event::Closed => close(conn, sess, shared),
@@ -644,7 +762,7 @@ fn handle_event(shared: &Arc<Shared>, conn: &Arc<Conn>, sess: &mut SessState, ev
 
 /// Finish a connection: drop the session (joining its prefetch
 /// producers), release the admission slot, and hand the socket back to
-/// the OS. The poller prunes its state on the next sweep.
+/// the OS. The wake makes the poller drop its state for the connection.
 fn close(conn: &Arc<Conn>, sess: &mut SessState, shared: &Arc<Shared>) {
     sess.session = None;
     if std::mem::take(&mut sess.slot_held) {
@@ -653,6 +771,7 @@ fn close(conn: &Arc<Conn>, sess: &mut SessState, shared: &Arc<Shared>) {
     }
     conn.closed.store(true, Ordering::SeqCst);
     let _ = conn.stream.shutdown(NetShutdown::Both);
+    shared.wake();
 }
 
 /// Take one session slot, or refuse if the server is full.
@@ -670,10 +789,11 @@ fn acquire_slot(live: &AtomicUsize, max: usize) -> bool {
 }
 
 /// Write one frame to the (nonblocking, poller-shared) socket, counting
-/// bytes; `false` means the peer is gone. A full send buffer retries
-/// with a short sleep — the cost lands on the slow session's worker
-/// slot, not on the poller or other sessions.
-fn send(conn: &Arc<Conn>, stats: &Stats, frame: &Frame) -> bool {
+/// bytes; `false` means the peer is gone. A full send buffer waits for
+/// room, but a peer that takes none for a whole idle timeout has
+/// stopped reading: the session is given up rather than let it hold
+/// this worker forever.
+fn send(shared: &Shared, conn: &Conn, frame: &Frame) -> bool {
     let bytes = frame.encode();
     let mut off = 0;
     while off < bytes.len() {
@@ -681,12 +801,17 @@ fn send(conn: &Arc<Conn>, stats: &Stats, frame: &Frame) -> bool {
             Ok(0) => return false,
             Ok(n) => off += n,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_micros(100));
+                if !matches!(
+                    sys::wait_writable(&conn.stream, shared.config.idle_timeout),
+                    Ok(true)
+                ) {
+                    return false;
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => return false,
         }
     }
-    stats.add(Counter::WireBytesOut, bytes.len() as u64);
+    shared.stats.add(Counter::WireBytesOut, bytes.len() as u64);
     true
 }

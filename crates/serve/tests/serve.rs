@@ -1,7 +1,9 @@
 //! The serve suite: lifecycle, admission control, budget, stale
 //! handles, idle timeout, graceful shutdown, the wire-vs-in-process
 //! equivalence pin, and the shared-state concurrency suite (shared
-//! plan cache + pooled prefetch under the worker-pool server).
+//! plan cache + pooled prefetch under the worker-pool server), plus the
+//! readiness pins: a peer that stops reading cannot wedge the server,
+//! and an idle server does not wake.
 
 use mix_common::{MixError, PrefetchPolicy, Value};
 use mix_engine::AccessMode;
@@ -12,8 +14,8 @@ use mix_relational::active_prefetchers;
 use mix_serve::{Server, ServerConfig, WireClient, WireError};
 use mix_wrapper::fig2_catalog;
 use std::net::TcpStream;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 const Q1: &str = "FOR $C IN source(&root1)/customer $O IN document(&root2)/order \
      WHERE $C/id/data() = $O/cid/data() \
@@ -710,4 +712,129 @@ fn panicking_session_leaves_others_serving() {
         stats.get(Counter::SessionsClosed),
         "every session (panicking one included) must release its slot"
     );
+}
+
+/// A peer that floods commands and never reads a reply must cost only
+/// its own session. With the sole worker stuck writing to it, the
+/// worker gives the session up once one idle timeout passes with no
+/// room in the socket: the next client is welcomed within two idle
+/// timeouts, and shutdown returns.
+#[test]
+fn a_peer_that_stops_reading_cannot_wedge_the_server() {
+    let idle = Duration::from_millis(300);
+    let mut server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            idle_timeout: idle,
+            ..ServerConfig::default()
+        },
+        fig2_factory(PrefetchPolicy::Off),
+    )
+    .expect("bind");
+    let addr = server.addr();
+    let hello = Frame::Hello {
+        version: PROTO_VERSION,
+    };
+
+    let mut flood = TcpStream::connect(addr).unwrap();
+    write_frame(&mut flood, &hello).unwrap();
+    assert!(matches!(
+        read_frame(&mut flood).unwrap(),
+        Some((Frame::Welcome { .. }, _))
+    ));
+    write_frame(&mut flood, &Frame::Cmd(Command::Query { text: Q1.into() })).unwrap();
+    let root = match read_frame(&mut flood).unwrap() {
+        Some((Frame::Rep(Reply::Node(n)), _)) => n,
+        other => panic!("expected Node reply, got {other:?}"),
+    };
+    // Renders until the server hangs up; nobody reads the replies.
+    let mut writer = flood.try_clone().unwrap();
+    let render = Frame::Cmd(Command::Render { p: root });
+    let flooder = std::thread::spawn(move || while write_frame(&mut writer, &render).is_ok() {});
+    // Wait until the replies fill both socket buffers and the worker
+    // blocks: the server's outgoing byte count stops moving.
+    let mut sent = u64::MAX;
+    while sent != server.stats().get(Counter::WireBytesOut) {
+        sent = server.stats().get(Counter::WireBytesOut);
+        std::thread::sleep(idle / 3);
+    }
+
+    let t = Instant::now();
+    let mut next = TcpStream::connect(addr).unwrap();
+    next.set_read_timeout(Some(2 * idle)).unwrap();
+    write_frame(&mut next, &hello).unwrap();
+    match read_frame(&mut next) {
+        Ok(Some((Frame::Welcome { .. }, _))) => {}
+        other => panic!("no Welcome within {:?}: {other:?}", 2 * idle),
+    }
+    assert!(t.elapsed() <= 2 * idle, "welcomed after {:?}", t.elapsed());
+
+    let (done, finished) = mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown returns");
+    stopper.join().expect("shutdown thread");
+    // The server hung up on the flood, so its writer stopped.
+    flooder.join().expect("flood writer");
+}
+
+/// Voluntary context switches summed over this process's server
+/// threads (`mix-serve-*`): how often they blocked and woke again.
+#[cfg(target_os = "linux")]
+fn server_thread_switches() -> u64 {
+    let mut sum = 0;
+    for task in std::fs::read_dir("/proc/self/task").unwrap().flatten() {
+        let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+        if !comm.starts_with("mix-serve-") {
+            continue;
+        }
+        let status = std::fs::read_to_string(task.path().join("status")).unwrap_or_default();
+        sum += status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+            .and_then(|v| v.trim().parse::<u64>().ok())
+            .unwrap_or(0);
+    }
+    sum
+}
+
+/// An idle server sleeps: with one connected, silent session, no
+/// server thread wakes (a couple of switches of slack) in 500 ms. This
+/// pins that no sleep-poll loop — in the poller or the workers — comes
+/// back. Other tests' servers share this process, so the measurement
+/// runs in a child process that runs only this test.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_server_does_not_wake() {
+    const PROBE: &str = "MIX_SERVE_IDLE_PROBE";
+    const NAME: &str = "an_idle_server_does_not_wake";
+    if std::env::var_os(PROBE).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([NAME, "--exact", "--nocapture", "--test-threads=1"])
+            .env(PROBE, "1")
+            .output()
+            .expect("run the probe process");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "probe failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+    let mut server = start(ServerConfig::default());
+    let client = WireClient::connect(server.addr()).unwrap();
+    // Let the handshake's own wake-ups settle.
+    std::thread::sleep(Duration::from_millis(100));
+    let before = server_thread_switches();
+    std::thread::sleep(Duration::from_millis(500));
+    let woke = server_thread_switches() - before;
+    assert!(woke <= 2, "an idle server woke {woke} times in 500 ms");
+    client.close().unwrap();
+    server.shutdown();
 }

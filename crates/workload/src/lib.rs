@@ -27,6 +27,8 @@
 //! `workload_soak` (`--smoke` for the seconds-scale CI run, full run
 //! writes `BENCH_soak.json`).
 
+#![forbid(unsafe_code)]
+
 pub mod fuzz;
 pub mod gen;
 pub mod script;

@@ -27,6 +27,8 @@
 //! records which are relational, exposing the schema information the
 //! rewriter needs to push work into SQL.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod lazy;
 pub mod relsource;

@@ -19,6 +19,8 @@
 //!   [printers](mod@print) used to load file sources and to regenerate the
 //!   paper's figures.
 
+#![forbid(unsafe_code)]
+
 pub mod nav;
 pub mod oid;
 pub mod parse;

@@ -20,6 +20,8 @@
 //! the `data()` accessor. The group-by lists `{$v}` follow the group-by
 //! extension the paper cites \[8\].
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod lexer;
 pub mod parser;

@@ -57,6 +57,14 @@ if grep -aq 'validated: ' target/release/experiments; then
   exit 1
 fi
 
+# The server blocks on readiness (epoll_wait, poll, condvars); a timed
+# sleep or a yield in it would be a sleep-poll loop coming back.
+echo "==> no thread::sleep or yield_now in crates/serve/src"
+if grep -rnE 'thread::sleep|yield_now' crates/serve/src; then
+  echo "error: the server must block on readiness, not sleep or yield" >&2
+  exit 1
+fi
+
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

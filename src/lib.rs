@@ -4,6 +4,8 @@
 //! [`mix`] facade); this crate hosts the workspace-level `examples/`
 //! and `tests/` directories plus shared synthetic-workload builders.
 
+#![forbid(unsafe_code)]
+
 pub use mix;
 
 pub mod datagen;
